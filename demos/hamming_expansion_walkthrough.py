@@ -49,10 +49,10 @@ for dims, q in ((4, 2), (2, 3)):
           f">= bound {float(check.lower_bound):.6f}  holds={check.holds}")
 
 print()
-print("The image space (2,1,1) IS H(4,2) under the level-word pairing:")
-from robustness_envelope.image_space import SpaceParams, norm_distance
-bij = hm.image_bijection(SpaceParams(2, 1, 1))
+print("The image space (2,1,1) IS H(4,2): vertex r is the image of rank r:")
+from robustness_envelope.image_space import SpaceParams, image_from_rank, norm_distance
+params = SpaceParams(2, 1, 1)
 u, v = 0b0000, 0b0110
-print(f"  graph distance({u:04b}, {v:04b}) = {bij.graph.distance(u, v)}; "
+print(f"  graph distance({u:04b}, {v:04b}) = {graph.distance(u, v)}; "
       f"count-norm of paired images = "
-      f"{norm_distance(bij.image_of(u), bij.image_of(v), 0)}")
+      f"{norm_distance(image_from_rank(params, u), image_from_rank(params, v), 0)}")

@@ -47,7 +47,6 @@ from .hamming import (
     expand,
     expand_k,
     harper_check,
-    image_bijection,
     interior_k,
 )
 from .image_space import (
@@ -59,6 +58,7 @@ from .image_space import (
     encode_image,
     enumerate_space,
     flatten,
+    image_from_rank,
     norm_distance,
     sample_uniform,
     value_of_level,

@@ -15,7 +15,7 @@ from typing import Callable, List
 import numpy as np
 
 from . import exactmath
-from .errors import AnalyticUnavailable, SpaceTooLarge
+from .errors import AnalyticUnavailable, ContractViolation, SpaceTooLarge
 from .image_space import (
     DEFAULT_ENUMERATION_CAP,
     ImageTensor,
@@ -94,7 +94,8 @@ def class_sizes(classifier: ClassifierHandle, mode: str = "exhaustive",
         counts = [0] * classifier.label_count
         for image in enumerate_space(params, cap):
             counts[classifier.decide(image)] += 1
-        assert sum(counts) == params.total_images
+        if sum(counts) != params.total_images:
+            raise ContractViolation(f"class counts sum to {sum(counts)}")
     elif mode == "analytic":
         if classifier.kind != "sum":
             raise AnalyticUnavailable(
@@ -102,7 +103,8 @@ def class_sizes(classifier: ClassifierHandle, mode: str = "exhaustive",
         pmf = level_sum_pmf(params)
         zero_fraction = pmf.cdf_at(sum_class0_max_level_sum(params))
         zero_count = zero_fraction * params.total_images
-        assert zero_count.denominator == 1
+        if zero_count.denominator != 1:
+            raise ContractViolation(f"class-0 count {zero_count} is not whole")
         counts = [int(zero_count), params.total_images - int(zero_count)]
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -26,8 +25,6 @@ from .image_space import PerturbationBudget, SpaceParams, decode_image
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-THREADS_ENV = "ROBUSTNESS_ENVELOPE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,6 @@ class RunConfig:
     samples: Optional[int] = None
     subsets: Optional[int] = None
     seed: Optional[int] = None
-    threads: Optional[int] = None
     format: Optional[str] = None
     rounding: Optional[str] = None
 
@@ -74,14 +70,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_bounds(args) -> int:
@@ -118,11 +106,10 @@ def cmd_verify(args) -> int:
                               random_subsets=args.subsets,
                               balanced_small=args.balanced_small,
                               balanced_large=args.balanced_large)
-    threads = args.threads if args.threads else _default_threads()
-    reports = verify.run_suites(names, cfg, threads=threads)
+    reports = verify.run_suites(names, cfg)
     config = RunConfig(command="verify", suite=args.suite, seed=args.seed,
                        samples=args.samples, subsets=args.subsets,
-                       threads=threads, format=args.format).to_dict()
+                       format=args.format).to_dict()
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
         payload = {
@@ -185,13 +172,14 @@ def cmd_estimate(args) -> int:
     params = SpaceParams(args.n, args.h, args.b)
     classifier = parse_classifier_spec(args.classifier, params,
                                        cap=args.cap_images)
-    budget = PerturbationBudget(args.norm, Fraction(args.size))
+    budget = PerturbationBudget(args.norm, args.size)
     report = robustness.class_robust_fraction(
         classifier, args.label, budget, method="monte_carlo",
         samples=args.samples, seed=args.seed, cap=args.cap_images)
     config = RunConfig(command="estimate", n=args.n, h=args.h, b=args.b,
                        classifier=args.classifier, label=args.label,
-                       norm=args.norm, size=args.size, samples=args.samples,
+                       norm=args.norm, size=float(args.size),
+                       samples=args.samples,
                        seed=args.seed, format=args.format).to_dict()
     if args.format == "csv":
         buffer = io.StringIO()
@@ -234,12 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples for stochastic checks")
     p.add_argument("--subsets", type=int, default=100_000,
                    help="random subsets per large-graph sweep")
-    p.add_argument("--cap-subsets", dest="subsets", type=int,
-                   help="alias of --subsets")
     p.add_argument("--balanced-small", type=int, default=1000)
     p.add_argument("--balanced-large", type=int, default=100)
-    p.add_argument("--threads", type=int, default=0,
-                   help=f"suite parallelism; 0 reads {THREADS_ENV}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
@@ -264,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default="sum")
     p.add_argument("--label", type=int, default=0)
     p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--size", type=float, required=True)
+    p.add_argument("--size", type=Fraction, required=True,
+                   help="budget size, exact: 0.6 is 3/5")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap-images", type=int, default=1 << 20)

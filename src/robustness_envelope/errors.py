@@ -9,6 +9,10 @@ class EnvelopeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ContractViolation(EnvelopeError):
+    """A computed result breaks a guarantee its own code states."""
+
+
 # --- exact arithmetic -------------------------------------------------------
 
 class ZeroDenominator(EnvelopeError):

@@ -19,6 +19,7 @@ import mpmath
 
 from .errors import (
     AsymmetricY,
+    ContractViolation,
     NoFeasibleR,
     NoSolution,
     PrecisionInsufficient,
@@ -81,7 +82,8 @@ def tail_table(n: int, p: Fraction) -> tuple[Fraction, ...]:
         term = term * (n - i) * p / ((i + 1) * q)
         acc += term
         out.append(acc)
-    assert out[-1] == 1
+    if out[-1] != 1:
+        raise ContractViolation(f"binomial tail sums to {out[-1]}, not 1")
     return tuple(out)
 
 

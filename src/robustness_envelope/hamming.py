@@ -5,6 +5,9 @@ Subsets are stored as big-integer bitsets (bit v set iff vertex v is a
 member), so expansion is a handful of shift/mask operations per
 coordinate instead of a per-vertex neighbor loop.  A slow per-vertex
 implementation is kept alongside as a cross-check oracle.
+
+Vertex ``r`` of ``H(n^2 h, 2^b)`` (first coordinate most significant)
+is ``image_from_rank(params, r)``, so graph distance is the count norm.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Iterator
 
 from . import exactmath
 from .errors import NotInterestingSubset, SpaceTooLarge
-from .image_space import ImageTensor, SpaceParams
 
 MAX_MATERIALIZED_VERTICES = 1 << 26
 
@@ -41,30 +43,23 @@ class GraphParams:
         return self.alphabet ** self.dims
 
     def word_of(self, vertex: int) -> tuple[int, ...]:
+        """Digits of a vertex, first coordinate most significant."""
         q = self.alphabet
-        word = []
-        for _ in range(self.dims):
-            vertex, digit = divmod(vertex, q)
-            word.append(digit)
+        word = [0] * self.dims
+        for i in range(self.dims - 1, -1, -1):
+            vertex, word[i] = divmod(vertex, q)
         return tuple(word)
 
     def vertex_of(self, word) -> int:
         q = self.alphabet
         vertex = 0
-        for digit in reversed(tuple(word)):
+        for digit in word:
             vertex = vertex * q + digit
         return vertex
 
     def distance(self, u: int, v: int) -> int:
         """Hamming distance between two vertices."""
-        q = self.alphabet
-        d = 0
-        for _ in range(self.dims):
-            if u % q != v % q:
-                d += 1
-            u //= q
-            v //= q
-        return d
+        return sum(a != b for a, b in zip(self.word_of(u), self.word_of(v)))
 
 
 def _replicate(pattern: int, width: int, count: int) -> int:
@@ -76,33 +71,66 @@ def _replicate(pattern: int, width: int, count: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _coordinate_masks(dims: int, q: int):
-    """Per coordinate: (stride, tuple of per-digit vertex masks)."""
+def _step_masks(dims: int, q: int):
+    """Per coordinate: (stride, digit < q - 1 mask, digit > 0 mask)."""
+    full = (1 << q ** dims) - 1
     out = []
     for i in range(dims):
         stride = q ** i
-        period = stride * q
-        count = q ** (dims - i - 1)
-        digit_masks = tuple(
-            _replicate(((1 << stride) - 1) << (a * stride), period, count)
-            for a in range(q))
-        out.append((stride, digit_masks))
+        zero = _replicate((1 << stride) - 1, stride * q, q ** (dims - i - 1))
+        out.append((stride, full ^ (zero << stride * (q - 1)), full ^ zero))
     return tuple(out)
 
 
 def _expand_bits(dims: int, q: int, bits: int) -> int:
     """Closed neighborhood of a bitset: members plus all one-coordinate
-    changes."""
-    masks = _coordinate_masks(dims, q)
+    changes, one level step at a time under the digit masks."""
+    result = bits
+    for stride, below_top, above_zero in _step_masks(dims, q):
+        up = down = bits
+        for _ in range(1, q):
+            up = (up & below_top) << stride
+            down = (down & above_zero) >> stride
+            result |= up | down
+    return result
+
+
+def _within_cost_bits(dims: int, q: int, bits: int, p: int,
+                      threshold: int) -> int:
+    """Every vertex within total cost ``threshold`` of the bitset.
+
+    Moving one coordinate by ``delta`` levels costs 1 for p = 0 and
+    ``delta ** p`` otherwise, and costs add over coordinates (for p = 0
+    this is ``threshold``-fold expansion).  Coordinates are added one at
+    a time, keeping the vertices reached at each exact partial cost; a
+    move of ``delta`` levels is ``delta`` one-level steps under the two
+    digit masks.
+    """
+    if threshold < 0:
+        return 0
+    layers = {0: bits}  # partial cost -> vertices reached at that cost
+    masks = _step_masks(dims, q)
+    for index, (stride, below_top, above_zero) in enumerate(masks):
+        last = index == dims - 1
+        grown = dict(layers)  # staying put costs nothing
+        for spent, layer in layers.items():
+            for mask, up in ((below_top, True), (above_zero, False)):
+                moved = layer
+                for delta in range(1, q):
+                    total = spent + (1 if p == 0 else delta ** p)
+                    if total > threshold:
+                        break
+                    moved &= mask
+                    moved = moved << stride if up else moved >> stride
+                    if not moved:
+                        break
+                    # after the last coordinate no cost is needed: one layer
+                    key = -1 if last else total
+                    grown[key] = grown.get(key, 0) | moved
+        layers = grown
     result = 0
-    for stride, digit_masks in masks:
-        folded = 0
-        for a in range(q):
-            folded |= (bits & digit_masks[a]) >> (a * stride)
-        spread = 0
-        for b in range(q):
-            spread |= folded << (b * stride)
-        result |= spread
+    for layer in layers.values():
+        result |= layer
     return result
 
 
@@ -279,43 +307,3 @@ def harper_check(s: HammingSubset, k: int, tol: float = 1e-9) -> HarperCheck:
                                Fraction(tol))
     return HarperCheck(subset_size=s.size, k=k, expansion_fraction=lhs,
                        lower_bound=rhs, holds=lhs >= rhs - Fraction(tol))
-
-
-@dataclass(frozen=True)
-class ImageBijection:
-    """Distance-preserving pairing of a Hamming graph with an image space.
-
-    The word of a vertex is exactly the level array of its image, so graph
-    distance equals the count norm between the paired images.
-    """
-
-    params: SpaceParams
-
-    @property
-    def graph(self) -> GraphParams:
-        return GraphParams(dims=self.params.dimension,
-                           alphabet=self.params.level_count)
-
-    def image_of(self, vertex: int) -> ImageTensor:
-        return ImageTensor(self.params, self.graph.word_of(vertex))
-
-    def vertex_of(self, image: ImageTensor) -> int:
-        return self.graph.vertex_of(image.levels)
-
-
-def image_bijection(params: SpaceParams) -> ImageBijection:
-    """Bijection between ``V(H(n^2 h, 2^b))`` and the image space."""
-    return ImageBijection(params)
-
-
-def class_subset(bijection: ImageBijection, decide, label: int,
-                 cap: int = MAX_MATERIALIZED_VERTICES) -> HammingSubset:
-    """Materialize the vertex set of one classifier class."""
-    graph = bijection.graph
-    if graph.vertex_count > cap:
-        raise SpaceTooLarge(f"{graph.vertex_count} vertices exceed cap {cap}")
-    bits = 0
-    for v in range(graph.vertex_count):
-        if decide(bijection.image_of(v)) == label:
-            bits |= 1 << v
-    return HammingSubset(graph, bits)

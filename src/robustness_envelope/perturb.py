@@ -22,6 +22,7 @@ import numpy as np
 
 from .classifiers import ClassifierHandle, sum_classifier
 from .errors import (
+    ContractViolation,
     DimensionTooLarge,
     EmptyClass,
     EnumerationCapExceeded,
@@ -208,14 +209,17 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
             v = math.nextafter(hi, lo)  # keep the point inside the half-open cell
         p2.append(v)
     result = ImageTensor(params, best_levels)
-    assert classifier.decide(result) != base_label
-    assert cell_of_point(params, p2).levels == best_levels
+    if classifier.decide(result) == base_label:
+        raise ContractViolation(f"cell {best_levels} changed its label")
+    if cell_of_point(params, p2).levels != best_levels:
+        raise ContractViolation(f"projected point left cell {best_levels}")
 
     moved = float(norm_distance(image, result, 2))
     # Both endpoints sit inside cells of diameter sqrt(n^2 h)/2^b, and the
     # walk certified ||p1 - p2|| <= radius; the triangle inequality gives
     # the image-space guarantee checked here.
-    assert moved <= float(radius) + 2 * cell_diameter(params) + 1e-9
+    if moved > float(radius) + 2 * cell_diameter(params) + 1e-9:
+        raise ContractViolation(f"moved {moved} beyond radius {radius}")
     return PerturbationOutcome(result=result, l2_moved=moved,
                                cells_examined=cells_examined)
 
@@ -383,7 +387,8 @@ def attack_sum_classifier(image: ImageTensor, p: int) -> PerturbationSearchResul
     witness = ImageTensor(params, tuple(v + direction * m
                                         for v, m in zip(image.levels, moves)))
     classifier = sum_classifier(params)
-    assert classifier.decide(witness) != classifier.decide(image)
+    if classifier.decide(witness) == classifier.decide(image):
+        raise ContractViolation("greedy attack did not cross the threshold")
     if p == 0:
         pow_sum = sum(1 for m in moves if m)
     else:

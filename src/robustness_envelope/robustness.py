@@ -2,7 +2,9 @@
 
 Three routes to the same quantities, used to check each other:
 
-* brute-force enumeration (exact, the ground truth at desk scale),
+* exhaustive: classes as bitsets over the vertices of ``H(n^2 h, 2^b)``
+  and one cost-layered expansion for every norm; the dense matrix
+  (:func:`robust_flags_by_matrix`) and per-image scans are its oracles,
 * analytic exact fractions for the sum classifier via its level-sum PMF,
 * Monte Carlo estimation with Wilson intervals for anything larger.
 
@@ -23,14 +25,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exactmath, perturb
+from . import exactmath, hamming, perturb
 from .classifiers import (
     ClassifierHandle,
     is_interesting,
     level_sum_pmf,
     sum_class0_max_level_sum,
 )
-from .errors import BallTooLarge, EmptyClass, SpaceTooLarge
+from .errors import (
+    BallTooLarge,
+    ContractViolation,
+    EmptyClass,
+    PreconditionViolated,
+    SpaceTooLarge,
+)
 from .image_space import (
     DEFAULT_ENUMERATION_CAP,
     ImageTensor,
@@ -43,7 +51,7 @@ from .image_space import (
 )
 from .mcstats import wilson_ci
 
-MATRIX_CAP = 2048  # spaces up to this many images use dense distance matrices
+MATRIX_CAP = 2048  # the dense oracle handles spaces up to this many images
 
 CSV_HEADER = ("n", "h", "b", "classifier", "label", "p", "size", "method",
               "fraction", "ci_lo", "ci_hi", "samples", "seed")
@@ -93,9 +101,12 @@ def space_images(params: SpaceParams) -> tuple[ImageTensor, ...]:
     return tuple(enumerate_space(params, MATRIX_CAP))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=5)  # p = 0..4 of one space: 160 MiB at MATRIX_CAP
 def _diff_pow_matrix(params: SpaceParams, p: int) -> np.ndarray:
     """Pairwise ``sum |delta_level|^p`` (count for p = 0) as int64."""
+    if params.dimension * params.max_level ** p >= 2 ** 63:
+        raise PreconditionViolated(
+            f"level distances at p = {p} overflow int64 in {params}")
     images = space_images(params)
     levels = np.array([img.levels for img in images], dtype=np.int64)
     n = len(images)
@@ -113,8 +124,6 @@ def labels_for(classifier: ClassifierHandle,
                cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Label of every image, indexed by rank."""
     params = classifier.params
-    if params.total_images > cap:
-        raise SpaceTooLarge(f"space holds {params.total_images} images")
     return np.fromiter((classifier.decide(img) for img in enumerate_space(params, cap)),
                        dtype=np.int64, count=params.total_images)
 
@@ -126,23 +135,55 @@ def level_threshold(params: SpaceParams, budget: PerturbationBudget) -> int:
     return math.floor(budget.exact_size_pow() * params.max_level ** budget.p)
 
 
+def _exhaustive(classifier: ClassifierHandle,
+                budgets: Sequence[PerturbationBudget],
+                cap: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every image's label and, per budget, every image's verdict.
+
+    Labels are decided once.  Each class present becomes a bitset over
+    ranks, and its robust members are ``members & ~within(others)``.
+    """
+    params = classifier.params
+    labels = labels_for(classifier, cap)
+    count = len(labels)
+    full = (1 << count) - 1
+    classes = [int.from_bytes(np.packbits(labels == label, bitorder="little")
+                              .tobytes(), "little")
+               for label in np.flatnonzero(np.bincount(labels))]
+    verdicts = []
+    for budget in budgets:
+        threshold = level_threshold(params, budget)
+        robust = 0
+        for members in classes:
+            robust |= members & ~hamming._within_cost_bits(
+                params.dimension, params.level_count, full ^ members,
+                budget.p, threshold)
+        packed = np.frombuffer(robust.to_bytes((count + 7) // 8, "little"),
+                               np.uint8)
+        verdicts.append(np.unpackbits(packed, count=count,
+                                      bitorder="little").view(bool))
+    return labels, verdicts
+
+
 def robust_flags(classifier: ClassifierHandle, budget: PerturbationBudget,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Robustness verdict for every image of a small space, exactly.
+    """Robustness verdict for every image of an enumerable space, exactly.
 
     An image is robust iff no image within the (integerized) budget wears
     a different label.
     """
-    params = classifier.params
-    if params.total_images > min(cap, MATRIX_CAP):
-        raise SpaceTooLarge(f"space holds {params.total_images} images")
+    return _exhaustive(classifier, [budget], cap)[1][0]
+
+
+def robust_flags_by_matrix(classifier: ClassifierHandle,
+                           budget: PerturbationBudget,
+                           cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Oracle for :func:`robust_flags` through the dense pairwise distance
+    matrix, on spaces of at most ``MATRIX_CAP`` images."""
+    matrix = _diff_pow_matrix(classifier.params, budget.p)
     labels = labels_for(classifier, cap)
-    matrix = _diff_pow_matrix(params, budget.p)
-    threshold = level_threshold(params, budget)
-    if threshold < 0:
-        return np.ones(len(labels), dtype=bool)  # nothing is within budget
     differs = labels[None, :] != labels[:, None]
-    within = matrix <= threshold
+    within = matrix <= level_threshold(classifier.params, budget)
     return ~(differs & within).any(axis=1)
 
 
@@ -259,7 +300,8 @@ def sample_sum_class_member(params: SpaceParams, label: int,
         v = bisect_right(cumulative, _uniform_below(cumulative[-1], rng))
         levels.append(v)
         remaining -= v
-    assert remaining == 0
+    if remaining != 0:
+        raise ContractViolation(f"composition misses its sum by {remaining}")
     return ImageTensor(params, tuple(levels))
 
 
@@ -274,21 +316,10 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
     """Robust fraction of one class: exact enumeration or Monte Carlo."""
     params = classifier.params
     if method == "exhaustive":
-        if params.total_images > cap:
-            raise SpaceTooLarge(f"space holds {params.total_images} images")
-        if params.total_images <= MATRIX_CAP:
-            flags = robust_flags(classifier, budget, cap)
-            labels = labels_for(classifier, cap)
-            member_count = int((labels == label).sum())
-            robust_count = int((flags & (labels == label)).sum())
-        else:
-            member_count = robust_count = 0
-            for image in enumerate_space(params, cap):
-                if classifier.decide(image) != label:
-                    continue
-                member_count += 1
-                if image_is_robust(classifier, image, budget, cap=cap):
-                    robust_count += 1
+        labels, (flags,) = _exhaustive(classifier, [budget], cap)
+        members = labels == label
+        member_count = int(members.sum())
+        robust_count = int((flags & members).sum())
         if member_count == 0:
             raise EmptyClass(f"label {label} has no members")
         return RobustnessReport(
@@ -341,26 +372,13 @@ def sum_exact_fraction_L1(params: SpaceParams, size) -> Fraction:
     return pmf.cdf_at(robust_max) / denominator
 
 
-def reduction_check_L1_to_L0(classifier: ClassifierHandle, d, *,
-                             mode: str = "exhaustive", samples: int = 200,
-                             seed: int = 0,
+def reduction_check_L1_to_L0(classifier: ClassifierHandle, d,
                              cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Whether robustness at L1 size d implies robustness at L0 size d."""
-    if mode == "exhaustive":
-        robust_l1 = robust_flags(classifier, PerturbationBudget(1, Fraction(d)), cap)
-        robust_l0 = robust_flags(classifier, PerturbationBudget(0, Fraction(d)), cap)
-        return bool(np.all(~robust_l1 | robust_l0))
-    if mode == "sample":
-        params = classifier.params
-        rng = philox_rng(seed)
-        for _ in range(samples):
-            image = sample_uniform(params, 0, rng=rng)
-            if (image_is_robust(classifier, image, PerturbationBudget(1, Fraction(d)), cap=cap)
-                    and not image_is_robust(classifier, image,
-                                            PerturbationBudget(0, Fraction(d)), cap=cap)):
-                return False
-        return True
-    raise ValueError(f"unknown mode {mode!r}")
+    _, (robust_l1, robust_l0) = _exhaustive(
+        classifier, [PerturbationBudget(1, Fraction(d)),
+                     PerturbationBudget(0, Fraction(d))], cap)
+    return bool(np.all(~robust_l1 | robust_l0))
 
 
 def reduction_check_L0_to_Lp(classifier: ClassifierHandle, d: int, p: int,
@@ -375,12 +393,11 @@ def reduction_check_L0_to_Lp(classifier: ClassifierHandle, d: int, p: int,
         raise ValueError(f"p must be >= 2, got {p}")
     params = classifier.params
     top = params.max_level
-    robust_l0 = robust_flags(classifier, PerturbationBudget(0, Fraction(d)), cap)
     small = PerturbationBudget(p, float(d) ** (1 / p) / top,
                                size_pow=Fraction(d) / Fraction(top) ** p)
     large = PerturbationBudget(p, float(d) ** (1 / p), size_pow=Fraction(d))
-    robust_small = robust_flags(classifier, small, cap)
-    robust_large = robust_flags(classifier, large, cap)
+    _, (robust_l0, robust_small, robust_large) = _exhaustive(
+        classifier, [PerturbationBudget(0, Fraction(d)), small, large], cap)
     forward = bool(np.all(~robust_l0 | robust_small))
     backward = bool(np.all(~robust_large | robust_l0))
     return forward and backward
@@ -422,14 +439,15 @@ def theorem1_holds(classifier: ClassifierHandle, c_values: Sequence[float],
     decided exactly.
     """
     params = classifier.params
-    labels = labels_for(classifier, cap)
+    budgets = [exactmath.floor_plus_c_sqrt(c, params.h * params.n ** 2, add=2)
+               for c in c_values]
+    labels, verdicts = _exhaustive(
+        classifier, [PerturbationBudget(0, budget) for budget in budgets], cap)
     counts = np.bincount(labels, minlength=classifier.label_count)
     interesting = [label for label, count in enumerate(counts)
                    if is_interesting(int(count), params)]
     entries = []
-    for c in c_values:
-        budget = exactmath.floor_plus_c_sqrt(c, params.h * params.n ** 2, add=2)
-        flags = robust_flags(classifier, PerturbationBudget(0, budget), cap)
+    for c, budget, flags in zip(c_values, budgets, verdicts):
         exponent = Fraction(-2) * Fraction(c) * Fraction(c)
         bound = 2.0 * math.exp(-2.0 * float(c) ** 2)
         for label in interesting:

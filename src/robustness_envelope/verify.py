@@ -9,13 +9,13 @@ line's ``verify`` command runs and what the acceptance tests assert.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import exactmath, gaussian, hamming, perturb, robustness
 from .classifiers import ClassifierHandle, random_classifier, sum_classifier
+from .errors import ContractViolation
 from .exactmath import DiscretePMF
 from .image_space import (
     PerturbationBudget,
@@ -587,7 +587,8 @@ class _ReplayRng:
     def uniform(self, lo, hi):
         v = self._values[self._at]
         self._at += 1
-        assert lo <= v <= hi
+        if not lo <= v <= hi:
+            raise ContractViolation(f"replayed {v} outside [{lo}, {hi}]")
         return v
 
 
@@ -640,16 +641,10 @@ SUITES: dict[str, Callable[[VerifyConfig], SuiteReport]] = {
 }
 
 
-def run_suites(names, cfg: VerifyConfig, threads: int = 1) -> list[SuiteReport]:
-    """Run the named suites; output order is canonical regardless of
-    scheduling."""
+def run_suites(names, cfg: VerifyConfig) -> list[SuiteReport]:
+    """Run the named suites in canonical (sorted) order."""
     names = sorted(names)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda n: SUITES[n](cfg), names))
-    else:
-        reports = [SUITES[name](cfg) for name in names]
-    return sorted(reports, key=lambda r: r.suite)
+    return [SUITES[name](cfg) for name in names]

@@ -157,6 +157,31 @@ class TestEstimate:
             sum_classifier(SpaceParams(3, 1, 1)), 0, PerturbationBudget(0, 1))
         assert report["ci_lo"] <= float(exact.fraction) <= report["ci_hi"]
 
+    def test_decimal_size_is_exact(self, capsys):
+        # "0.6" is the budget 3/5: level threshold 9 of 15, exact class-0
+        # fraction 7/40; the float 0.5999... gave threshold 8 (7/30)
+        from robustness_envelope.classifiers import sum_classifier
+        from robustness_envelope.image_space import PerturbationBudget
+        from robustness_envelope.robustness import (
+            class_robust_fraction,
+            level_threshold,
+        )
+        argv = ["estimate", "--n", "1", "--h", "2", "--b", "4", "--classifier",
+                "sum", "--label", "0", "--norm", "1", "--size", "0.6",
+                "--samples", "2000", "--seed", "7"]
+        args = cli.build_parser().parse_args(argv)
+        assert args.size == Fraction(3, 5)
+        budget = PerturbationBudget(1, args.size)
+        assert level_threshold(SpaceParams(1, 2, 4), budget) == 9
+        assert class_robust_fraction(sum_classifier(SpaceParams(1, 2, 4)), 0,
+                                     budget).fraction == Fraction(7, 40)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["size"] == 0.6
+        report = payload["report"]
+        assert report["ci_lo"] <= 7 / 40 <= report["ci_hi"]
+
     def test_zero_samples_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--n", "2", "--h", "1",
                                "--b", "1", "--norm", "0", "--size", "1",

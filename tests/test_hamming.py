@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from robustness_envelope import hamming as hm
 from robustness_envelope.errors import NotInterestingSubset, SpaceTooLarge
-from robustness_envelope.image_space import SpaceParams, norm_distance
+from robustness_envelope.image_space import (
+    SpaceParams,
+    image_from_rank,
+    norm_distance,
+)
 
 G32 = hm.GraphParams(3, 2)
 G42 = hm.GraphParams(4, 2)
@@ -19,8 +23,9 @@ def subset(graph, *vertices):
 
 class TestGraphParams:
     def test_words(self):
-        assert G23.word_of(5) == (2, 1)
-        assert G23.vertex_of((2, 1)) == 5
+        # first coordinate most significant, as in image rank order
+        assert G23.word_of(5) == (1, 2)
+        assert G23.vertex_of((1, 2)) == 5
 
     def test_distance(self):
         assert G32.distance(0b000, 0b101) == 2
@@ -90,6 +95,38 @@ class TestInterior:
         assert via_duality.issubset(s)
 
 
+def within_by_scan(graph, bits, p, threshold):
+    """Vertices within total cost ``threshold`` of ``bits``, pair by pair."""
+    words = [graph.word_of(v) for v in range(graph.vertex_count)]
+    sources = [words[u] for u in range(graph.vertex_count) if bits >> u & 1]
+    out = 0
+    for v, word in enumerate(words):
+        if any(sum(1 if p == 0 else abs(a - b) ** p
+                   for a, b in zip(source, word) if a != b) <= threshold
+               for source in sources):
+            out |= 1 << v
+    return out
+
+
+class TestWithinCost:
+    @given(st.integers(0, 2 ** 16 - 1), st.integers(-1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_p0_is_expansion(self, bits, k):
+        s = hm.HammingSubset(G42, bits)
+        got = hm._within_cost_bits(4, 2, bits, 0, k)
+        assert got == (0 if k < 0 else hm.expand_k(s, k).bits)
+
+    @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 4), st.integers(-1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_scan(self, bits, p, threshold):
+        for graph in (hm.GraphParams(2, 4), hm.GraphParams(3, 3),
+                      hm.GraphParams(1, 16)):
+            part = bits & ((1 << graph.vertex_count) - 1)
+            assert hm._within_cost_bits(graph.dims, graph.alphabet, part, p,
+                                        threshold) == within_by_scan(
+                graph, part, p, threshold)
+
+
 class TestHamgraphTheorem:
     def test_radius_beyond_diameter(self):
         chk = hm.check_hamgraph_theorem(subset(G42, 0, 1, 2), 1.5)
@@ -133,46 +170,54 @@ class TestHarperCheck:
             assert hm.harper_check(hm.HammingSubset(g, bits), 1).holds
 
 
+def graph_of(params):
+    return hm.GraphParams(params.dimension, params.level_count)
+
+
 class TestImageBijection:
+    """Vertex r of H(n^2 h, 2^b) is the image of rank r."""
+
     def test_distance_preserved_exhaustively(self):
         params = SpaceParams(2, 1, 1)
-        bij = hm.image_bijection(params)
-        graph = bij.graph
+        graph = graph_of(params)
         for u in range(graph.vertex_count):
             for v in range(u + 1, graph.vertex_count):
                 assert graph.distance(u, v) == norm_distance(
-                    bij.image_of(u), bij.image_of(v), 0)
+                    image_from_rank(params, u), image_from_rank(params, v), 0)
 
     def test_binary_words_equal_levels(self):
         params = SpaceParams(2, 1, 1)
-        bij = hm.image_bijection(params)
-        image = bij.image_of(0b0110)
-        assert bij.vertex_of(image) == 0b0110
+        image = image_from_rank(params, 0b0110)
+        assert image.levels == graph_of(params).word_of(0b0110) == (0, 1, 1, 0)
+        assert image.space_rank() == 0b0110
 
     def test_multichannel_space(self):
         params = SpaceParams(1, 2, 2)
-        bij = hm.image_bijection(params)
-        graph = bij.graph
+        graph = graph_of(params)
         assert graph.vertex_count == params.total_images == 16
         for u in range(16):
             for v in range(16):
                 assert graph.distance(u, v) == norm_distance(
-                    bij.image_of(u), bij.image_of(v), 0)
+                    image_from_rank(params, u), image_from_rank(params, v), 0)
 
     def test_round_trip(self):
         params = SpaceParams(2, 1, 2)
-        bij = hm.image_bijection(params)
+        graph = graph_of(params)
         for v in range(0, 256, 7):
-            assert bij.vertex_of(bij.image_of(v)) == v
+            image = image_from_rank(params, v)
+            assert graph.word_of(v) == image.levels
+            assert graph.vertex_of(image.levels) == v
 
 
 class TestClassSubset:
     def test_matches_decide(self):
         from robustness_envelope.classifiers import sum_classifier
+        from robustness_envelope.robustness import labels_for
         params = SpaceParams(2, 1, 1)
         classifier = sum_classifier(params)
-        bij = hm.image_bijection(params)
-        zero_class = hm.class_subset(bij, classifier.decide, 0)
+        bits = sum(1 << rank for rank, label in enumerate(labels_for(classifier))
+                   if label == 0)
+        zero_class = hm.HammingSubset(graph_of(params), bits)
         assert zero_class.size == 5
         for v in zero_class.members():
-            assert classifier.decide(bij.image_of(v)) == 0
+            assert classifier.decide(image_from_rank(params, v)) == 0

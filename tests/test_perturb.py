@@ -10,7 +10,12 @@ from robustness_envelope.classifiers import (
     random_classifier,
     sum_classifier,
 )
-from robustness_envelope.errors import DimensionTooLarge, EmptyClass, NoOtherClass
+from robustness_envelope.errors import (
+    ContractViolation,
+    DimensionTooLarge,
+    EmptyClass,
+    NoOtherClass,
+)
 from robustness_envelope.image_space import (
     ImageTensor,
     PerturbationBudget,
@@ -71,6 +76,20 @@ class TestFindPerturbation:
             out = pt.find_perturbation(c, img, 1.0, seed=seed)
             if out.succeeded:
                 assert c.decide(out.result) != c.decide(img)
+
+    def test_drifting_classifier_violates_contract(self):
+        # decide alternates 0, 1, 0, ...: the walk finds the input's own
+        # cell labeled differently, and the re-check sees the label flip back
+        calls = [0]
+
+        def decide(image):
+            calls[0] += 1
+            return (calls[0] + 1) % 2
+
+        drifting = ClassifierHandle(params=P111, label_count=2, decide=decide,
+                                    kind="drifting", spec="drifting")
+        with pytest.raises(ContractViolation):
+            pt.find_perturbation(drifting, ImageTensor(P111, (0,)), 0.6, seed=1)
 
     def test_dimension_cap(self):
         big = SpaceParams(4, 1, 1)  # dimension 16

@@ -1,10 +1,17 @@
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from robustness_envelope import hamming as hm
 from robustness_envelope import robustness as rb
 from robustness_envelope.classifiers import random_classifier, sum_classifier
-from robustness_envelope.errors import BallTooLarge, EmptyClass
+from robustness_envelope.errors import (
+    BallTooLarge,
+    EmptyClass,
+    PreconditionViolated,
+)
 from robustness_envelope.image_space import (
     ImageTensor,
     PerturbationBudget,
@@ -199,6 +206,120 @@ class TestTheorem1:
         for seed in range(25):
             c = random_classifier(P211, 2, "balanced", seed)
             assert rb.theorem1_holds(c, [0.5, 0.75, 1.0]).all_hold
+
+
+ORACLE_SHAPES = ((2, 1, 1), (2, 1, 2), (3, 1, 1), (1, 5, 2), (1, 11, 1),
+                 (1, 2, 3), (1, 1, 4), (1, 3, 2))
+ORACLE_SIZES = tuple(Fraction(v) for v in ("0", "1/3", "1/2", "2/3", "1", "3/2",
+                                           "2", "3"))
+
+
+def oracle_battery(params):
+    return [sum_classifier(params),
+            random_classifier(params, 2, "balanced", 3),
+            random_classifier(params, 3, "uniform", 5),
+            random_classifier(params, 2, "linear_threshold", 0)]
+
+
+def counting(classifier):
+    """The classifier with a ``decide`` that counts its calls."""
+    calls = [0]
+
+    def decide(image):
+        calls[0] += 1
+        return classifier.decide(image)
+
+    return dataclasses.replace(classifier, decide=decide), calls
+
+
+def class_bits(classifier, label):
+    labels = rb.labels_for(classifier)
+    return sum(1 << int(rank) for rank in np.flatnonzero(labels == label))
+
+
+class TestEngineAgainstOracles:
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES,
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_equals_dense_matrix(self, shape):
+        params = SpaceParams(*shape)
+        battery = oracle_battery(params)
+        try:
+            for p in range(5):
+                budgets = [PerturbationBudget(p, d) for d in ORACLE_SIZES]
+                if p >= 3:
+                    budgets += [PerturbationBudget(p, float(d), size_pow=d * d)
+                                for d in ORACLE_SIZES]
+                for classifier in battery:
+                    for budget in budgets:
+                        assert np.array_equal(
+                            rb.robust_flags(classifier, budget),
+                            rb.robust_flags_by_matrix(classifier, budget)), (
+                            classifier.spec, budget)
+                rb._diff_pow_matrix.cache_clear()  # 32 MiB per p at 2048
+        finally:
+            rb._diff_pow_matrix.cache_clear()
+
+    def test_beyond_matrix_cap_matches_per_image(self):
+        # 4096 images: the ball enumeration (p = 0) and the greedy sum
+        # attack (p = 1, 2) of image_is_robust, image by image
+        params = SpaceParams(2, 1, 3)
+        assert params.total_images > rb.MATRIX_CAP
+        graph = hm.GraphParams(params.dimension, params.level_count)
+        cases = [(sum_classifier(params), [(0, 1), (0, 2), (1, Fraction(1, 3)),
+                                           (1, 1), (2, Fraction(1, 3)), (2, 1)]),
+                 (random_classifier(params, 2, "balanced", 3), [(0, 1)])]
+        for classifier, budgets in cases:
+            images = list(enumerate_space(params))
+            for p, size in budgets:
+                budget = PerturbationBudget(p, size)
+                labels = rb.labels_for(classifier)
+                flags = rb.robust_flags(classifier, budget)
+                for label in (0, 1):
+                    report = rb.class_robust_fraction(classifier, label, budget)
+                    members = np.flatnonzero(labels == label)
+                    robust = sum(rb.image_is_robust(classifier, images[r], budget)
+                                 for r in members)
+                    assert report.total == len(members)
+                    assert report.robust_count == robust == flags[members].sum()
+                    if p == 0:
+                        interior = hm.interior_k(
+                            hm.HammingSubset(graph, class_bits(classifier, label)),
+                            size)
+                        assert interior.bits == sum(
+                            1 << int(r) for r in members if flags[r])
+
+    def test_large_p_exact(self):
+        # int64 matrices overflowed here for p >= 6
+        classifier = sum_classifier(SpaceParams(1, 1, 11))
+        for p in range(2, 9):
+            report = rb.class_robust_fraction(
+                classifier, 0, PerturbationBudget(p, Fraction(1, 2)))
+            assert report.fraction == Fraction(1, 1024)
+
+    def test_matrix_oracle_refuses_overflow(self):
+        classifier = sum_classifier(SpaceParams(1, 1, 11))
+        with pytest.raises(PreconditionViolated):
+            rb.robust_flags_by_matrix(classifier,
+                                      PerturbationBudget(6, Fraction(1, 2)))
+
+    def test_one_decide_per_image(self):
+        params = SpaceParams(2, 1, 2)
+        for classifier in (sum_classifier(params),
+                           random_classifier(params, 2, "balanced", 6)):
+            counted, calls = counting(classifier)
+            rb.class_robust_fraction(counted, 0, PerturbationBudget(1, 1))
+            assert calls[0] == 256
+            calls[0] = 0
+            rb.theorem1_holds(counted, [0.5, 0.75, 1.0])
+            assert calls[0] == 256
+
+    def test_wide_level_grid(self):
+        # 65536 levels in one coordinate: class 0 is levels 0..32767 and
+        # only level 0 is farther than half the range from class 1
+        classifier = sum_classifier(SpaceParams(1, 1, 16))
+        report = rb.class_robust_fraction(classifier, 0,
+                                          PerturbationBudget(2, Fraction(1, 2)))
+        assert report.fraction == Fraction(1, 32768)
 
 
 class TestReportSerialization:

@@ -1,16 +1,19 @@
 """Exact combinatorics, binomial tails, and discrete distribution checks.
 
 All probability values are `fractions.Fraction` instances, so comparisons
-are exact.  The only transcendental quantities that ever enter a
-comparison (bounds of the form ``coeff * exp(q)`` with rational ``q``) go
-through :func:`compare_scaled_exp`, which escalates working precision
-until the comparison is certified, rather than trusting one float round.
+are exact; a :class:`DiscretePMF` keeps integer counts over one denominator
+and returns Fractions at its edge.  The only transcendental quantities
+that ever enter a comparison (bounds of the form ``coeff * exp(q)`` with
+rational ``q``) go through :func:`compare_scaled_exp`, which escalates
+working precision until the comparison is certified, rather than trusting
+one float round.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -269,22 +272,29 @@ def harper_rhs(n: int, k: int, frac: Fraction,
 class DiscretePMF:
     """Exact distribution on a contiguous integer grid.
 
-    ``offset`` is the value of the first support point; ``masses`` are
-    nonnegative Fractions summing to exactly 1.
+    ``offset`` is the value of the first support point; the mass at
+    ``offset + i`` is ``counts[i] / denominator``, where the counts are
+    nonnegative integers summing to exactly ``denominator``.
     """
 
     offset: int
-    masses: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    denominator: int
+    _prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.masses:
-            raise ValueError("masses must be nonempty")
-        masses = tuple(Fraction(m) for m in self.masses)
-        if any(m < 0 for m in masses):
-            raise ValueError("masses must be nonnegative")
-        if sum(masses) != 1:
-            raise ValueError("masses must sum to exactly 1")
-        object.__setattr__(self, "masses", masses)
+        counts = tuple(self.counts)
+        if not counts or any(not isinstance(c, int) or c < 0 for c in counts):
+            raise ValueError("counts must be nonempty nonnegative integers")
+        prefix = tuple(itertools.accumulate(counts))
+        if self.denominator < 1 or prefix[-1] != self.denominator:
+            raise ValueError(f"counts sum to {prefix[-1]}, not {self.denominator}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_prefix", prefix)
+
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.counts)
 
     @property
     def support_min(self) -> int:
@@ -292,40 +302,31 @@ class DiscretePMF:
 
     @property
     def support_max(self) -> int:
-        return self.offset + len(self.masses) - 1
-
-    def mass_at(self, value: int) -> Fraction:
-        if self.support_min <= value <= self.support_max:
-            return self.masses[value - self.offset]
-        return Fraction(0)
+        return self.offset + len(self.counts) - 1
 
     def cdf_at(self, value: int) -> Fraction:
         """Exact probability of the grid values <= ``value``."""
         if value < self.support_min:
             return Fraction(0)
-        stop = min(value, self.support_max) - self.offset + 1
-        return sum(self.masses[:stop], Fraction(0))
-
-    def mean(self) -> Fraction:
-        return sum((Fraction(self.offset + i) * m for i, m in enumerate(self.masses)),
-                   Fraction(0))
+        index = min(value, self.support_max) - self.offset
+        return Fraction(self._prefix[index], self.denominator)
 
     def is_symmetric_about_zero(self) -> bool:
         if self.support_min != -self.support_max:
             return False
-        return self.masses == self.masses[::-1]
+        return self.counts == self.counts[::-1]
 
 
 def pmf_point(value: int) -> DiscretePMF:
     """Point mass at a single grid value."""
-    return DiscretePMF(value, (Fraction(1),))
+    return DiscretePMF(value, (1,), 1)
 
 
 def pmf_uniform_levels(levels: int) -> DiscretePMF:
     """Uniform mass on the grid ``{0, ..., levels-1}``."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    return DiscretePMF(0, (Fraction(1, levels),) * levels)
+    return DiscretePMF(0, (1,) * levels, levels)
 
 
 def pmf_uniform_symmetric(radius: int) -> DiscretePMF:
@@ -333,55 +334,61 @@ def pmf_uniform_symmetric(radius: int) -> DiscretePMF:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     width = 2 * radius + 1
-    return DiscretePMF(-radius, (Fraction(1, width),) * width)
+    return DiscretePMF(-radius, (1,) * width, width)
 
 
 def pmf_bernoulli(p: Fraction) -> DiscretePMF:
-    """Bernoulli distribution on {0, 1}."""
+    """Bernoulli(a/b) on {0, 1}: counts ``(b - a, a)`` over ``b``."""
     p = Fraction(p)
     if not (0 <= p <= 1):
         raise ValueError(f"p must be in [0, 1], got {p}")
-    return DiscretePMF(0, (1 - p, p))
+    return DiscretePMF(0, (p.denominator - p.numerator, p.numerator), p.denominator)
 
 
-def pmf_convolve(a: DiscretePMF, b: DiscretePMF,
-                 cap: int = DEFAULT_SUPPORT_CAP) -> DiscretePMF:
-    """Exact distribution of the sum of two independent grid variables."""
-    width = len(a.masses) + len(b.masses) - 1
-    if width > cap:
-        raise SupportCapExceeded(f"support {width} exceeds cap {cap}")
-    out = [Fraction(0)] * width
-    for i, ma in enumerate(a.masses):
-        if ma == 0:
-            continue
-        for j, mb in enumerate(b.masses):
-            if mb:
-                out[i + j] += ma * mb
-    return DiscretePMF(a.offset + b.offset, tuple(out))
+def pmf_convolve(a: DiscretePMF, b: DiscretePMF) -> DiscretePMF:
+    """Exact distribution of the sum of two independent grid variables.
+
+    Kronecker substitution: both count lists are packed into integers with
+    one byte slot per count and multiplied once.  No output count exceeds
+    ``a.denominator * b.denominator``, so slots that wide never carry.
+    """
+    width = len(a.counts) + len(b.counts) - 1
+    if width > DEFAULT_SUPPORT_CAP:
+        raise SupportCapExceeded(f"support {width} > cap {DEFAULT_SUPPORT_CAP}")
+    denominator = a.denominator * b.denominator
+    slot = (denominator.bit_length() + 7) // 8
+
+    def pack(counts: tuple[int, ...]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in counts),
+                              "little")
+
+    data = (pack(a.counts) * pack(b.counts)).to_bytes(width * slot, "little")
+    counts = tuple(int.from_bytes(data[i:i + slot], "little")
+                   for i in range(0, width * slot, slot))
+    return DiscretePMF(a.offset + b.offset, counts, denominator)
 
 
-def pmf_iid_sum(base: DiscretePMF, count: int,
-                cap: int = DEFAULT_SUPPORT_CAP) -> DiscretePMF:
+def pmf_iid_sum(base: DiscretePMF, count: int) -> DiscretePMF:
     """Exact distribution of the sum of ``count`` independent copies of ``base``.
 
-    Uses square-and-multiply over exact convolution; the result is
-    bit-identical however the convolution tree is associated because all
-    arithmetic is rational.
+    Uses square-and-multiply over exact convolution; the counts are
+    identical however the convolution tree is associated because all
+    arithmetic is on exact integers.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    final_width = count * (len(base.masses) - 1) + 1
-    if final_width > cap:
-        raise SupportCapExceeded(f"support {final_width} exceeds cap {cap}")
+    final_width = count * (len(base.counts) - 1) + 1
+    if final_width > DEFAULT_SUPPORT_CAP:
+        raise SupportCapExceeded(f"support {final_width} > cap {DEFAULT_SUPPORT_CAP}")
     result = None
     power = base
     remaining = count
     while remaining:
         if remaining & 1:
-            result = power if result is None else pmf_convolve(result, power, cap)
+            result = power if result is None else pmf_convolve(result, power)
         remaining >>= 1
         if remaining:
-            power = pmf_convolve(power, power, cap)
+            power = pmf_convolve(power, power)
     return result
 
 
@@ -407,8 +414,7 @@ def binomial_spread_holds(n: int, sym_y: DiscretePMF, t: Fraction | float) -> bo
     return s.cdf_at(m) >= x.cdf_at(m)
 
 
-def anti_concentration_holds(n: int, levels2k: int, t: Fraction | float,
-                             cap: int = DEFAULT_SUPPORT_CAP) -> bool:
+def anti_concentration_holds(n: int, levels2k: int, t: Fraction | float) -> bool:
     """Lower bound on the left tail of a sum of quantized uniforms.
 
     Each summand is uniform on ``2k`` evenly spaced values with endpoints
@@ -426,7 +432,7 @@ def anti_concentration_holds(n: int, levels2k: int, t: Fraction | float,
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     step_denominator = levels2k - 1  # grid spacing is 1/(2k-1) in real units
-    total = pmf_iid_sum(pmf_uniform_levels(levels2k), n, cap)
+    total = pmf_iid_sum(pmf_uniform_levels(levels2k), n)
     threshold = (Fraction(n, 2) - t + 1) * step_denominator
     lhs = total.cdf_at(math.floor(threshold))
     # lhs > 1/2 - 2t/sqrt(n)  <=>  (1/2 - lhs) * sqrt(n) < 2t

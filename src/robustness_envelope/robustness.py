@@ -6,6 +6,7 @@ Three routes to the same quantities, used to check each other:
   and one cost-layered expansion for every norm; the dense matrix
   (:func:`robust_flags_by_matrix`) and per-image scans are its oracles,
 * analytic exact fractions for the sum classifier via its level-sum PMF,
+  whose integer counts also drive the conditional class sampler,
 * Monte Carlo estimation with Wilson intervals for anything larger.
 
 All budget comparisons reduce to integers: a p-norm budget turns into a
@@ -240,21 +241,13 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
 
 
 @lru_cache(maxsize=8)
-def _sum_composition_counts(params: SpaceParams) -> tuple[tuple[int, ...], ...]:
-    """counts[m][s]: level sequences of length m with sum s, exactly."""
-    q = params.level_count
-    tables = [(1,)]  # length 0: only the empty sum
-    current = [1]
+def _level_sum_counts(params: SpaceParams) -> tuple[tuple[int, ...], ...]:
+    """counts[m][s]: length-m level sequences summing to s (m-fold level-sum PMF)."""
+    base = exactmath.pmf_uniform_levels(params.level_count)
+    tables = [exactmath.pmf_point(0)]
     for _ in range(params.dimension):
-        width = len(current) + q - 1
-        nxt = [0] * width
-        for s, c in enumerate(current):
-            if c:
-                for v in range(q):
-                    nxt[s + v] += c
-        current = nxt
-        tables.append(tuple(current))
-    return tuple(tables)
+        tables.append(exactmath.pmf_convolve(tables[-1], base))
+    return tuple(t.counts for t in tables)
 
 
 def _uniform_below(total: int, rng: np.random.Generator) -> int:
@@ -276,7 +269,7 @@ def sample_sum_class_member(params: SpaceParams, label: int,
     are exact big integers), then a uniform composition realizing that
     sum, digit by digit.
     """
-    counts = _sum_composition_counts(params)
+    counts = _level_sum_counts(params)
     full = counts[params.dimension]
     split = sum_class0_max_level_sum(params)
     sums = (range(0, split + 1) if label == 0

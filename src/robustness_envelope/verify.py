@@ -304,9 +304,9 @@ def _symmetric_family() -> list[tuple[str, DiscretePMF]]:
         family.append((f"uniform±{radius}",
                        exactmath.pmf_uniform_symmetric(radius)))
     for m in (1, 2, 3):
-        masses = [Fraction(0)] * (2 * m + 1)
-        masses[0] = masses[-1] = Fraction(1, 2)
-        family.append((f"twopoint±{m}", DiscretePMF(-m, tuple(masses))))
+        counts = [0] * (2 * m + 1)
+        counts[0] = counts[-1] = 1
+        family.append((f"twopoint±{m}", DiscretePMF(-m, tuple(counts), 2)))
     return family
 
 

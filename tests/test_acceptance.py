@@ -41,12 +41,19 @@ def run_checks(number, checks, detail):
     report_line(number, True, detail + worst)
 
 
+def assert_margins(suite, expected):
+    """Pin the exact float repr of margins computed from exact rationals."""
+    margins = {c.check_id: repr(c.margin) for c in suite.checks}
+    assert {k: margins.get(k) for k in expected} == expected
+
+
 def test_criterion_01_binomial_suite():
     suite = verify.suite_binomial(CFG)
     wanted = {"binomial/mode-bound", "binomial/tail-ratio-monotone",
               "binomial/hoeffding-ratio"}
     checks = [c for c in suite.checks if c.check_id in wanted]
     assert len(checks) == 3
+    assert_margins(suite, {"binomial/tail-ratio-monotone": "0.0"})
     run_checks(1, checks,
                "mode bound n<=1e4, tail-ratio monotone n<=40, "
                "Hoeffding sweep n<=64, zero violations")
@@ -86,6 +93,7 @@ def test_criterion_04_theorem1_desk_scale():
 
 def test_criterion_05_theorem2_exact():
     suite = verify.suite_theorem2(CFG)
+    assert_margins(suite, {"theorem2/exact-fractions-(16,1,1)": "0.2"})
     run_checks(5, list(suite.checks),
                "exact class-0 fractions >= 1-4c on (16,1,1) and exhaustive "
                "agreement on (2,1,1), (3,1,1), zero tolerance")
@@ -93,6 +101,8 @@ def test_criterion_05_theorem2_exact():
 
 def test_criterion_06_anti_concentration():
     suite = verify.suite_anticonc(CFG)
+    assert_margins(suite, {"anticonc/sum-left-tail": "0.11217337687398343",
+                           "anticonc/binomial-spread": "0.0"})
     run_checks(6, list(suite.checks),
                "binomial-spread n<=20 and left-tail bound n<=64, "
                "2k in {2,4,8}, exact convolutions, zero violations")

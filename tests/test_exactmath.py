@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustness_envelope import exactmath as em
@@ -157,15 +158,53 @@ class TestHarperRhs:
         assert em.harper_rhs(4, 2, HALF) <= 1
 
 
+def convolve_oracle(a, b):
+    """Fraction double loop over the masses: ``(offset, masses)`` of a + b."""
+    out = [Fraction(0)] * (len(a.masses) + len(b.masses) - 1)
+    for i, ma in enumerate(a.masses):
+        for j, mb in enumerate(b.masses):
+            out[i + j] += ma * mb
+    return a.offset + b.offset, tuple(out)
+
+
+def _pmf_from_counts(offset, counts):
+    return em.DiscretePMF(offset, tuple(counts), sum(counts))
+
+
+# zeros inside and at the edges of the support, single points, and counts
+# large enough that product denominators pass 2^64 (multi-byte slots)
+pmfs = st.builds(
+    _pmf_from_counts,
+    st.integers(-20, 20),
+    st.one_of(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+              st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=6)).filter(any),
+)
+
+
 class TestDiscretePMF:
     def test_uniform_levels(self):
         assert em.pmf_uniform_levels(2).masses == (HALF, HALF)
         assert em.pmf_uniform_levels(4).masses == (Fraction(1, 4),) * 4
         assert em.pmf_uniform_levels(1).masses == (Fraction(1),)
+        assert em.pmf_uniform_levels(4).counts == (1, 1, 1, 1)
+        assert em.pmf_uniform_levels(4).denominator == 4
+
+    def test_bernoulli_counts(self):
+        pmf = em.pmf_bernoulli(Fraction(2, 6))
+        assert (pmf.counts, pmf.denominator) == ((2, 1), 3)
+        assert em.pmf_bernoulli(0).counts == (1, 0)
 
     def test_masses_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            em.DiscretePMF(0, (HALF, Fraction(1, 3)))
+            em.DiscretePMF(0, (1, 1), 3)
+        with pytest.raises(ValueError):
+            em.DiscretePMF(0, (2, -1), 1)
+        with pytest.raises(ValueError):
+            em.DiscretePMF(0, (HALF, HALF), 1)
+        with pytest.raises(ValueError):
+            em.DiscretePMF(0, (0,), 0)
+        with pytest.raises(ValueError):
+            em.DiscretePMF(0, (), 1)
 
     def test_iid_sum_fair_coin(self):
         total = em.pmf_iid_sum(em.pmf_bernoulli(HALF), 2)
@@ -180,9 +219,13 @@ class TestDiscretePMF:
         assert total.cdf_at(128) == em.binomial_tail(
             em.TailQuery(256, 128, HALF))
 
-    def test_support_cap(self):
+    def test_support_cap(self, monkeypatch):
+        monkeypatch.setattr(em, "DEFAULT_SUPPORT_CAP", 8)
         with pytest.raises(SupportCapExceeded):
-            em.pmf_iid_sum(em.pmf_uniform_levels(3), 10, cap=8)
+            em.pmf_iid_sum(em.pmf_uniform_levels(3), 10)
+        with pytest.raises(SupportCapExceeded):
+            em.pmf_convolve(em.pmf_uniform_levels(5), em.pmf_uniform_levels(5))
+        assert len(em.pmf_iid_sum(em.pmf_uniform_levels(3), 3).counts) == 7
 
     @given(st.integers(1, 6), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -198,6 +241,21 @@ class TestDiscretePMF:
         a = em.pmf_uniform_levels(a_levels)
         b = em.pmf_uniform_levels(b_levels)
         assert em.pmf_convolve(a, b) == em.pmf_convolve(b, a)
+
+    @given(pmfs, pmfs)
+    @example(em.pmf_bernoulli(Fraction(1, 3)), em.pmf_uniform_levels(5))
+    @example(em.pmf_point(-4), em.DiscretePMF(-1, (0, 2, 0, 1, 0), 3))
+    @example(em.DiscretePMF(-3, (2 ** 65, 0, 1), 2 ** 65 + 1),
+             em.DiscretePMF(7, (0, 3 ** 41, 5), 3 ** 41 + 5))
+    @settings(max_examples=200, deadline=None)
+    def test_convolution_matches_fraction_oracle(self, a, b):
+        c = em.pmf_convolve(a, b)
+        offset, masses = convolve_oracle(a, b)
+        assert (c.offset, c.masses) == (offset, masses)
+        assert c.denominator == a.denominator * b.denominator
+        cdf = [Fraction(0)] + list(itertools.accumulate(masses))
+        cdf.append(cdf[-1])
+        assert [c.cdf_at(v) for v in range(offset - 1, offset + len(masses) + 1)] == cdf
 
 
 class TestBinomialSpread:
@@ -219,7 +277,7 @@ class TestBinomialSpread:
         assert em.binomial_spread_holds(4, y, Fraction(3, 2))
 
     def test_asymmetric_rejected(self):
-        skew = em.DiscretePMF(-1, (Fraction(1, 4), Fraction(1, 4), HALF))
+        skew = em.DiscretePMF(-1, (1, 1, 2), 4)
         with pytest.raises(AsymmetricY):
             em.binomial_spread_holds(4, skew, Fraction(3, 2))
 

@@ -27,6 +27,42 @@ SUM211 = sum_classifier(P211)
 ZEROS211 = ImageTensor(P211, (0, 0, 0, 0))
 
 
+# First 50 conditional draws per class from philox_rng(2024), one string of
+# levels per member; pinned so the sampler's tables cannot drift.
+SAMPLER_PINS = {
+    ((2, 1, 2), 0): (
+        "2012 1121 1030 0120 1103 0101 0210 0200 2030 3110 0113 2020 0302 "
+        "2101 2011 1001 0012 3011 0221 0201 0310 1301 1010 0030 0113 0201 "
+        "1003 1120 0131 2210 0221 0220 1220 2003 1101 1310 0112 3101 0030 "
+        "1310 2110 1111 1013 2000 0101 1011 1120 1030 0211 0101"),
+    ((2, 1, 2), 1): (
+        "3310 3332 3130 0133 1333 2301 1302 3030 3111 0313 3231 2233 3220 "
+        "1312 2203 2213 0332 1212 1320 2323 3102 3133 0222 2022 2033 1332 "
+        "0123 1212 2211 0033 2302 3032 2013 1323 3031 2313 1213 3123 3223 "
+        "1122 2213 3232 3213 3331 3013 3032 2122 0231 1133 2202"),
+    ((3, 1, 1), 0): (
+        "100001100 001101010 101001001 110000000 111001000 100100110 "
+        "100101010 001001000 010001011 001010110 010000100 010001001 "
+        "100100010 001010101 010001101 000010100 001001011 110110000 "
+        "000001011 111010000 001100110 101100001 011000001 000100011 "
+        "111000100 001100010 000101001 100001000 110000001 011010010 "
+        "001001001 111010000 101001001 000001111 011000101 001010110 "
+        "000101001 010000111 001010101 011010001 010100011 110000000 "
+        "100110100 010101001 100001010 100010101 110011000 001010011 "
+        "011011000 011001000"),
+    ((3, 1, 1), 1): (
+        "110100110 111101010 111101010 101110011 110111010 111100011 "
+        "010101110 110111001 011001110 111010010 011001011 110101001 "
+        "010011111 001111101 001110110 011011111 110111101 110101011 "
+        "101111001 011011101 111010100 011110001 001110011 111101110 "
+        "011110101 011111000 111100110 101101010 101011111 111010111 "
+        "001101110 110011011 110001111 101101100 111010101 111011001 "
+        "100101111 111100111 011010111 010010111 011110011 111101000 "
+        "110101100 011010111 111111001 111111110 100101101 110111011 "
+        "001111101 011011001"),
+}
+
+
 class TestImageIsRobust:
     def test_single_flip_safe(self):
         assert rb.image_is_robust(SUM211, ZEROS211, PerturbationBudget(0, 1))
@@ -137,6 +173,15 @@ class TestConditionalSampler:
             seen.add(member.levels)
         assert len(seen) == 5  # every class member appears
 
+    @pytest.mark.parametrize("shape,label", sorted(SAMPLER_PINS))
+    def test_draws_pinned(self, shape, label):
+        from robustness_envelope.image_space import philox_rng
+        rng = philox_rng(2024)
+        draws = [rb.sample_sum_class_member(SpaceParams(*shape), label, rng)
+                 for _ in range(50)]
+        assert " ".join("".join(map(str, m.levels)) for m in draws) == (
+            SAMPLER_PINS[shape, label])
+
 
 class TestSumExactFractionL1:
     def test_zero_budget(self):
@@ -161,6 +206,30 @@ class TestSumExactFractionL1:
                 exhaustive = rb.class_robust_fraction(
                     c, 0, PerturbationBudget(1, d)).fraction
                 assert rb.sum_exact_fraction_L1(params, d) == exhaustive
+
+
+class TestBitDepthEight:
+    """b = 8, the bit depth of the bound table: 16 coordinates of 256 levels."""
+
+    params = SpaceParams(4, 1, 8)
+
+    def test_level_sum_pmf(self):
+        from robustness_envelope.classifiers import class_sizes, level_sum_pmf
+        pmf = level_sum_pmf(self.params)
+        counts = pmf.counts
+        assert len(counts) == 16 * 255 + 1
+        assert counts == counts[::-1]
+        assert sum(counts) == pmf.denominator == 2 ** 128
+        sizes = class_sizes(sum_classifier(self.params), "analytic")
+        assert sizes[0].count == (2 ** 128 - counts[2040]) // 2
+        assert sizes[0].count + sizes[1].count == 2 ** 128
+
+    def test_sum_exact_fraction_nonincreasing(self):
+        values = [rb.sum_exact_fraction_L1(self.params, Fraction(k, 4))
+                  for k in range(5)]
+        assert values[0] == 1
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
 
 
 class TestReductions:

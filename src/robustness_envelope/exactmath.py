@@ -274,13 +274,14 @@ class DiscretePMF:
 
     ``offset`` is the value of the first support point; the mass at
     ``offset + i`` is ``counts[i] / denominator``, where the counts are
-    nonnegative integers summing to exactly ``denominator``.
+    nonnegative integers summing to exactly ``denominator``; ``prefix[i]``
+    is ``counts[0] + ... + counts[i]``.
     """
 
     offset: int
     counts: tuple[int, ...]
     denominator: int
-    _prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = tuple(self.counts)
@@ -290,7 +291,7 @@ class DiscretePMF:
         if self.denominator < 1 or prefix[-1] != self.denominator:
             raise ValueError(f"counts sum to {prefix[-1]}, not {self.denominator}")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "prefix", prefix)
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
@@ -309,7 +310,7 @@ class DiscretePMF:
         if value < self.support_min:
             return Fraction(0)
         index = min(value, self.support_max) - self.offset
-        return Fraction(self._prefix[index], self.denominator)
+        return Fraction(self.prefix[index], self.denominator)
 
     def is_symmetric_about_zero(self) -> bool:
         if self.support_min != -self.support_max:
@@ -351,6 +352,7 @@ def pmf_convolve(a: DiscretePMF, b: DiscretePMF) -> DiscretePMF:
     Kronecker substitution: both count lists are packed into integers with
     one byte slot per count and multiplied once.  No output count exceeds
     ``a.denominator * b.denominator``, so slots that wide never carry.
+    Squaring (``a is b``) packs once, so the product is a square.
     """
     width = len(a.counts) + len(b.counts) - 1
     if width > DEFAULT_SUPPORT_CAP:
@@ -362,7 +364,9 @@ def pmf_convolve(a: DiscretePMF, b: DiscretePMF) -> DiscretePMF:
         return int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in counts),
                               "little")
 
-    data = (pack(a.counts) * pack(b.counts)).to_bytes(width * slot, "little")
+    packed = pack(a.counts)
+    product = packed * (packed if a is b else pack(b.counts))
+    data = product.to_bytes(width * slot, "little")
     counts = tuple(int.from_bytes(data[i:i + slot], "little")
                    for i in range(0, width * slot, slot))
     return DiscretePMF(a.offset + b.offset, counts, denominator)

@@ -3,7 +3,9 @@ isoperimetric checks that drive the universal non-robustness bound.
 
 Subsets are stored as big-integer bitsets (bit v set iff vertex v is a
 member), so expansion is a handful of shift/mask operations per
-coordinate instead of a per-vertex neighbor loop.  A slow per-vertex
+coordinate instead of a per-vertex neighbor loop.  Many subsets can be
+packed side by side into one integer, one slot of whole 64-bit words
+each, and expanded by the same operations.  A slow per-vertex
 implementation is kept alongside as a cross-check oracle.
 
 Vertex ``r`` of ``H(n^2 h, 2^b)`` (first coordinate most significant)
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from . import exactmath
 from .errors import NotInterestingSubset, SpaceTooLarge
@@ -82,11 +86,53 @@ def _step_masks(dims: int, q: int):
     return tuple(out)
 
 
-def _expand_bits(dims: int, q: int, bits: int) -> int:
+def _slot_width(count: int) -> int:
+    """Bits per packed subset: the whole 64-bit words holding ``count`` bits."""
+    return 64 * -(-count // 64)
+
+
+def _slot_masks(dims: int, q: int, slots: int):
+    """``_step_masks`` laid down in each of ``slots`` packed slots."""
+    width = _slot_width(q ** dims)
+    return tuple((stride, _replicate(below_top, width, slots),
+                  _replicate(above_zero, width, slots))
+                 for stride, below_top, above_zero in _step_masks(dims, q))
+
+
+def _pack_slots(rows: np.ndarray) -> int:
+    """One integer holding each row of uint64 words (least significant
+    word first) in its own slot, row 0 lowest."""
+    return int.from_bytes(np.ascontiguousarray(rows, dtype="<u8").tobytes(),
+                          "little")
+
+
+def _row_sizes(rows: np.ndarray) -> np.ndarray:
+    """Member count of each row of uint64 words."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+
+
+def _slot_sizes(bits: int, slots: int, words: int) -> np.ndarray:
+    """Member count of each of ``slots`` packed slots of ``words`` words."""
+    data = np.frombuffer(bits.to_bytes(slots * words * 8, "little"), dtype="<u8")
+    return _row_sizes(data.reshape(slots, words))
+
+
+def _expand_bits(dims: int, q: int, bits: int, slots: int = 1,
+                 masks=None) -> int:
     """Closed neighborhood of a bitset: members plus all one-coordinate
-    changes, one level step at a time under the digit masks."""
+    changes, one level step at a time under the digit masks.
+
+    With ``slots`` > 1, ``bits`` packs that many subsets, one per slot of
+    ``_slot_width(q ** dims)`` bits, and each is expanded on its own: the
+    digit masks stop every step at the edge of its slot.  A caller that
+    expands many times passes ``masks=_slot_masks(dims, q, slots)``, built
+    once; masks built for more slots serve fewer as well.
+    """
+    if masks is None:
+        masks = (_step_masks(dims, q) if slots == 1
+                 else _slot_masks(dims, q, slots))
     result = bits
-    for stride, below_top, above_zero in _step_masks(dims, q):
+    for stride, below_top, above_zero in masks:
         up = down = bits
         for _ in range(1, q):
             up = (up & below_top) << stride

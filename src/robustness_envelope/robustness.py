@@ -241,13 +241,14 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
 
 
 @lru_cache(maxsize=8)
-def _level_sum_counts(params: SpaceParams) -> tuple[tuple[int, ...], ...]:
-    """counts[m][s]: length-m level sequences summing to s (m-fold level-sum PMF)."""
+def _level_sum_pmfs(params: SpaceParams) -> tuple[exactmath.DiscretePMF, ...]:
+    """The m-fold level-sum PMF for m = 0..dimension: its ``counts[s]`` is
+    the number of length-m level sequences summing to s."""
     base = exactmath.pmf_uniform_levels(params.level_count)
     tables = [exactmath.pmf_point(0)]
     for _ in range(params.dimension):
         tables.append(exactmath.pmf_convolve(tables[-1], base))
-    return tuple(t.counts for t in tables)
+    return tuple(tables)
 
 
 def _uniform_below(total: int, rng: np.random.Generator) -> int:
@@ -269,22 +270,21 @@ def sample_sum_class_member(params: SpaceParams, label: int,
     are exact big integers), then a uniform composition realizing that
     sum, digit by digit.
     """
-    counts = _level_sum_counts(params)
-    full = counts[params.dimension]
+    tables = _level_sum_pmfs(params)
+    prefix = tables[params.dimension].prefix
     split = sum_class0_max_level_sum(params)
-    sums = (range(0, split + 1) if label == 0
-            else range(split + 1, len(full)))
-    weights = [full[s] for s in sums]
-    total = sum(weights)
+    # the class's level sums are the prefix entries lo..hi, offset by below
+    lo, hi = (0, split) if label == 0 else (split + 1, len(prefix) - 1)
+    below = prefix[lo - 1] if lo else 0
+    total = prefix[hi] - below if lo <= hi else 0
     if total == 0:
         raise EmptyClass(f"label {label} has no members")
-    cumulative = list(itertools.accumulate(weights))
-    target = list(sums)[bisect_right(cumulative, _uniform_below(total, rng))]
+    target = bisect_right(prefix, below + _uniform_below(total, rng), lo, hi + 1)
 
     levels = []
     remaining = target
     for position in range(params.dimension):
-        suffix = counts[params.dimension - position - 1]
+        suffix = tables[params.dimension - position - 1].counts
         weights = []
         for v in range(params.level_count):
             rest = remaining - v

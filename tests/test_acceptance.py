@@ -70,6 +70,9 @@ def test_criterion_02_hamming_isoperimetry(hamming_suite):
     assert {"hamming/interior-ratio-H(4,2)-exhaustive",
             "hamming/interior-ratio-H(6,2)-random",
             "hamming/interior-ratio-H(4,3)-random"} <= ids
+    assert_margins(hamming_suite, {check_id: "0.0006709252558050237"
+                                   for check_id in ids})
+    assert len(ids) == 4
     run_checks(2, checks,
                "interior ratio < 2e^(-2c^2): H(4,2) exhaustive |S|<=8 and "
                "2x100000 random subsets of H(6,2), H(4,3)")
@@ -79,6 +82,9 @@ def test_criterion_03_harper_lower_bound(hamming_suite):
     checks = [c for c in hamming_suite.checks
               if "expansion-lower-bound" in c.check_id]
     assert len(checks) == 2
+    assert_margins(hamming_suite, {
+        "hamming/expansion-lower-bound-H(4,2)": "0.0",
+        "hamming/expansion-lower-bound-H(2,3)": "4.042198674550024e-13"})
     run_checks(3, checks,
                "expansion >= tail bound - 1e-9: H(4,2) k in 1..3, H(2,3) k=1, "
                "exhaustive")

@@ -1,0 +1,286 @@
+"""The slot-packed hamming sweeps against the per-subset loops they replace,
+and the verify configuration's contracts."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from robustness_envelope import cli, exactmath, verify
+from robustness_envelope import hamming as hm
+from robustness_envelope.image_space import philox_rng
+
+
+# --- oracle: one subset at a time ---------------------------------------------
+
+def oracle_interior_sizes(graph, bits, max_radius):
+    count = graph.vertex_count
+    grown = bits ^ ((1 << count) - 1)
+    sizes = [bits.bit_count()]
+    for _ in range(max_radius):
+        grown = hm._expand_bits(graph.dims, graph.alphabet, grown)
+        sizes.append(count - grown.bit_count())
+    return sizes
+
+
+def oracle_check_interior_ratio(sizes, subset_size, cases, worst):
+    for c, radius, bound in cases:
+        interior = sizes[min(radius, len(sizes) - 1)]
+        margin = bound - interior / subset_size
+        if margin < worst[0]:
+            worst[0] = margin
+        if margin <= 1e-9:
+            cmp = exactmath.compare_scaled_exp(
+                Fraction(interior, subset_size), Fraction(2),
+                Fraction(-2) * Fraction(c) * Fraction(c))
+            if cmp >= 0:
+                return (c, subset_size, interior)
+    return None
+
+
+def oracle_interior_sweep(check_id, graph, subsets, detail):
+    cases = verify._hamgraph_cases(graph.dims)
+    max_radius = max(radius for _, radius, _ in cases)
+    worst = [math.inf]
+    for bits in subsets:
+        sizes = oracle_interior_sizes(graph, bits, max_radius)
+        bad = oracle_check_interior_ratio(sizes, bits.bit_count(), cases, worst)
+        if bad is not None:
+            return verify.CheckResult(
+                check_id, False, worst[0],
+                f"counterexample bits={bits:#x} at c={bad[0]}")
+    return verify.CheckResult(check_id, True, worst[0], detail)
+
+
+def oracle_exhaustive(dims, q):
+    graph = hm.GraphParams(dims, q)
+    half = graph.vertex_count // 2
+    subsets = (bits for bits in range(1, 1 << graph.vertex_count)
+               if bits.bit_count() <= half)
+    return oracle_interior_sweep(
+        f"hamming/interior-ratio-H({dims},{q})-exhaustive", graph, subsets,
+        f"all subsets with 1 <= |S| <= {half}, c in {verify._C_GRID}")
+
+
+def oracle_random_subsets(count, how_many, seed):
+    full = (1 << count) - 1
+    half = count // 2
+    rng = philox_rng(seed)
+    nbytes = (count + 7) // 8
+    drawn = 0
+    while drawn < how_many:
+        bits = int.from_bytes(rng.bytes(nbytes), "little") & full
+        if bits.bit_count() > half:
+            bits ^= full
+        if bits == 0 or bits.bit_count() > half:
+            continue
+        drawn += 1
+        yield bits
+
+
+def oracle_random(dims, q, how_many, seed):
+    graph = hm.GraphParams(dims, q)
+    return oracle_interior_sweep(
+        f"hamming/interior-ratio-H({dims},{q})-random", graph,
+        oracle_random_subsets(graph.vertex_count, how_many, seed),
+        f"{how_many} seeded subsets, c in {verify._C_GRID}")
+
+
+def oracle_harper(dims, q, k_values, tol=1e-9):
+    count = q ** dims
+    rhs_cache = {}
+    worst = math.inf
+    tol_fraction = Fraction(tol)
+    for bits in range(1, (1 << count) - 1):
+        size = bits.bit_count()
+        expanded = bits
+        for k in range(1, max(k_values) + 1):
+            expanded = hm._expand_bits(dims, q, expanded)
+            if k not in k_values:
+                continue
+            rhs = rhs_cache.get((k, size))
+            if rhs is None:
+                rhs = exactmath.harper_rhs(dims, k, Fraction(size, count),
+                                           tol_fraction)
+                rhs_cache[(k, size)] = rhs
+            lhs = Fraction(expanded.bit_count(), count)
+            margin = float(lhs - rhs)
+            if margin < worst:
+                worst = margin
+            if lhs < rhs - tol_fraction:
+                return verify.CheckResult(
+                    f"hamming/expansion-lower-bound-H({dims},{q})", False,
+                    worst, f"counterexample bits={bits:#x}, k={k}")
+    return verify.CheckResult(
+        f"hamming/expansion-lower-bound-H({dims},{q})", True, worst,
+        f"all proper subsets, k in {sorted(k_values)}, tol {tol}; "
+        "integer shell parameter convention")
+
+
+def same_result(got, want):
+    assert type(got.margin) is type(want.margin)
+    assert got == want
+
+
+# --- batched sweeps equal the oracle ------------------------------------------
+
+class TestSweepsMatchOracle:
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("how_many", [1, 4095, 4097, 9000])
+    @pytest.mark.parametrize("dims,q", [(6, 2), (4, 3)])
+    def test_random(self, dims, q, how_many, seed):
+        same_result(verify._sweep_hamgraph_random(dims, q, how_many, seed),
+                    oracle_random(dims, q, how_many, seed))
+
+    @pytest.mark.parametrize("dims,q", [(4, 2), (2, 4)])
+    def test_exhaustive(self, dims, q):
+        same_result(verify._sweep_hamgraph_exhaustive(dims, q),
+                    oracle_exhaustive(dims, q))
+
+    @pytest.mark.parametrize("dims,q,k_values", [(4, 2, {1, 2, 3}),
+                                                 (2, 3, {1})])
+    def test_harper(self, dims, q, k_values):
+        same_result(verify._sweep_harper(dims, q, k_values),
+                    oracle_harper(dims, q, k_values))
+
+    @pytest.mark.parametrize("count,seed", [(64, 7), (81, 8), (81, 99)])
+    def test_random_draws(self, count, seed):
+        drawn = [hm._pack_slots(row) for rows in
+                 verify._random_subsets(count, 9000, seed) for row in rows]
+        assert drawn == list(oracle_random_subsets(count, 9000, seed))
+
+
+def failing_escalation(at):
+    """A certified comparison that fails its ``at``-th call only."""
+    calls = [0]
+
+    def compare(ratio, scale, exponent):
+        calls[0] += 1
+        return 1 if calls[0] == at else -1
+
+    return compare
+
+
+class TestForcedFailure:
+    def patch_cases(self, monkeypatch):
+        real = verify._hamgraph_cases
+
+        def cases(dims):
+            grid = real(dims)
+            # a zero bound escalates every subset at the middle case, with
+            # margin -|Int^1 S|/|S|: the worst margin then depends on which
+            # subsets precede the failing one
+            return [grid[0], (1.0, 1, 0.0), grid[-1]]
+
+        monkeypatch.setattr(verify, "_hamgraph_cases", cases)
+
+    @pytest.mark.parametrize("at", [1, 4096, 5000])
+    def test_random(self, monkeypatch, at):
+        self.patch_cases(monkeypatch)
+        results = []
+        for sweep in (verify._sweep_hamgraph_random, oracle_random):
+            monkeypatch.setattr(exactmath, "compare_scaled_exp",
+                                failing_escalation(at))
+            results.append(sweep(4, 3, 9000, 7))
+        assert not results[1].passed and "at c=1.0" in results[1].detail
+        assert at == 1 or results[1].margin < 0
+        same_result(*results)
+
+    def test_exhaustive(self, monkeypatch):
+        self.patch_cases(monkeypatch)
+        results = []
+        for sweep in (verify._sweep_hamgraph_exhaustive, oracle_exhaustive):
+            monkeypatch.setattr(exactmath, "compare_scaled_exp",
+                                failing_escalation(6000))
+            results.append(sweep(4, 2))
+        assert not results[1].passed
+        same_result(*results)
+
+    def test_harper(self, monkeypatch):
+        real = exactmath.harper_rhs
+
+        def rhs(dims, k, fraction, tol):
+            # unreachable at k >= 2 for |S| = 13 of 16: first met at 0x1fff,
+            # whose k = 3 margin is lower still but comes after the failure
+            if k >= 2 and fraction == Fraction(13, 16):
+                return Fraction(k)
+            return real(dims, k, fraction, tol)
+
+        monkeypatch.setattr(exactmath, "harper_rhs", rhs)
+        got = verify._sweep_harper(4, 2, {1, 2, 3})
+        want = oracle_harper(4, 2, {1, 2, 3})
+        assert want.detail == "counterexample bits=0x1fff, k=2"
+        same_result(got, want)
+
+
+def test_first_failure_worst_margin():
+    margins = np.array([[0.5, -3.0], [0.25, -1.0], [-2.0, -4.0]])
+    assert verify._first_failure(margins, iter([])) == (-4.0, None)
+    assert verify._first_failure(margins, iter([(1, 0)])) == (-3.0, (1, 0))
+    assert verify._first_failure(margins, iter([(2, 0), (2, 1)])) == (-3.0, (2, 0))
+    assert verify._first_failure(margins[1:], iter([(1, 0)])) == (-2.0, (1, 0))
+
+
+# --- slot-packed kernels -------------------------------------------------------
+
+def unpack(bits, slots, width):
+    return [bits >> (i * width) & ((1 << width) - 1) for i in range(slots)]
+
+
+class TestSlotKernels:
+    @pytest.mark.parametrize("dims,q", [(6, 2), (4, 3), (2, 4), (2, 3)])
+    def test_slots_equal_single_calls(self, dims, q):
+        count = q ** dims
+        width = hm._slot_width(count)
+        rand = random.Random(dims * 10 + q)
+        subsets = [0, (1 << count) - 1, 1 << (count - 1), 1]
+        subsets += [rand.getrandbits(count) for _ in range(40)]
+        subsets += [1 << rand.randrange(count) for _ in range(10)]
+        packed = sum(bits << (i * width) for i, bits in enumerate(subsets))
+        want = [hm._expand_bits(dims, q, bits) for bits in subsets]
+        n = len(subsets)
+        got = hm._expand_bits(dims, q, packed, slots=n)
+        assert unpack(got, n, width) == want
+        # masks built once for more slots serve a shorter chunk
+        masks = hm._slot_masks(dims, q, n + 7)
+        assert hm._expand_bits(dims, q, packed, n, masks) == got
+
+    def test_pack_and_sizes(self):
+        rows = np.array([[1, 0], [2 ** 64 - 1, 3], [0, 2 ** 17]], dtype=np.uint64)
+        packed = hm._pack_slots(rows)
+        assert unpack(packed, 3, 128) == [1, 2 ** 64 - 1 + (3 << 64), 1 << 81]
+        assert hm._slot_sizes(packed, 3, 2).tolist() == [1, 66, 1]
+
+    @pytest.mark.parametrize("nbytes", [8, 11])
+    def test_bulk_draws_equal_per_call_draws(self, nbytes):
+        # one rng.bytes(nbytes) reads nbytes rounded up to 32-bit words
+        stride = 4 * -(-nbytes // 4)
+        per_call = philox_rng(5)
+        want = [per_call.bytes(nbytes) for _ in range(12)]
+        bulk = philox_rng(5)
+        data = bulk.bytes(5 * stride) + bulk.bytes(7 * stride)  # two chunks
+        assert [data[i * stride:i * stride + nbytes] for i in range(12)] == want
+
+
+# --- configuration -------------------------------------------------------------
+
+class TestVacuousCounts:
+    @pytest.mark.parametrize("field", ["random_subsets", "balanced_small",
+                                       "balanced_large"])
+    def test_config_rejects_zero(self, field):
+        with pytest.raises(ValueError, match=field):
+            verify.VerifyConfig(**{field: 0})
+        verify.VerifyConfig(**{field: 1})
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hamming", "--subsets", "0"],
+        ["verify", "theorem1", "--balanced-small", "0"],
+        ["verify", "theorem1", "--balanced-large", "-3"],
+    ])
+    def test_cli_usage_error(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "error" in captured.err and captured.out == ""

@@ -10,7 +10,7 @@ checked at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .image_space import (
     SpaceParams,
     enumerate_space,
     flatten,
+    image_from_rank,
 )
 
 
@@ -30,8 +31,10 @@ class ClassifierHandle:
     """A total deterministic labeling of one image space.
 
     ``decide`` must be reentrant and must map every image of the space to
-    a label id in ``[0, label_count)``.  ``spec`` is the parseable string
-    form used by reports and the command line.
+    a label id in ``[0, label_count)``; it is the reference.  ``batch``,
+    when given, returns the label of every image in rank order at once and
+    must agree with ``decide`` everywhere.  ``spec`` is the parseable
+    string form used by reports and the command line.
     """
 
     params: SpaceParams
@@ -39,6 +42,30 @@ class ClassifierHandle:
     decide: Callable[[ImageTensor], int]
     kind: str
     spec: str
+    batch: Optional[Callable[[], np.ndarray]] = None
+
+    def labels(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """The label of every image, indexed by rank, in the smallest
+        unsigned dtype that holds ``label_count - 1``.
+
+        Uses ``batch`` when the handle has one, else one ``decide`` per
+        image.
+        """
+        params = self.params
+        if params.total_images > cap:
+            raise SpaceTooLarge(
+                f"space holds {params.total_images} images, cap is {cap}")
+        if self.batch is not None:
+            labels = self.batch()
+        else:
+            labels = np.fromiter(
+                (self.decide(image) for image in enumerate_space(params, cap)),
+                dtype=np.int64, count=params.total_images)
+        if labels.size and not (0 <= labels.min()
+                                and labels.max() < self.label_count):
+            raise ContractViolation(
+                f"labels outside [0, {self.label_count})")
+        return labels.astype(label_dtype(self.label_count), copy=False)
 
 
 @dataclass(frozen=True)
@@ -48,6 +75,20 @@ class ClassSummary:
     label: int
     count: int
     interesting: bool
+
+
+def label_dtype(label_count: int) -> np.dtype:
+    """Smallest unsigned dtype holding every label id."""
+    return np.min_scalar_type(max(label_count - 1, 0))
+
+
+def _outer_sums(rows: np.ndarray) -> np.ndarray:
+    """``out[rank] = rows[0, l_0] + ... + rows[d-1, l_{d-1}]`` over every
+    level tuple, ranks in lexicographic order, summed left to right."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = np.add.outer(out, row).ravel()
+    return out
 
 
 def is_interesting(count: int, params: SpaceParams) -> bool:
@@ -67,8 +108,13 @@ def sum_classifier(params: SpaceParams) -> ClassifierHandle:
     def decide(image: ImageTensor) -> int:
         return 0 if 2 * image.level_sum() < threshold_doubled else 1
 
+    def batch() -> np.ndarray:
+        levels = np.arange(params.level_count, dtype=np.int32)
+        sums = _outer_sums(np.tile(levels, (params.dimension, 1)))
+        return (2 * sums >= threshold_doubled).astype(np.uint8)
+
     return ClassifierHandle(params=params, label_count=2, decide=decide,
-                            kind="sum", spec="sum")
+                            kind="sum", spec="sum", batch=batch)
 
 
 def level_sum_pmf(params: SpaceParams) -> exactmath.DiscretePMF:
@@ -114,11 +160,48 @@ def class_sizes(classifier: ClassifierHandle, mode: str = "exhaustive",
 
 def _materialized(params: SpaceParams, labels: np.ndarray, label_count: int,
                   kind: str, spec: str) -> ClassifierHandle:
+    labels = labels.astype(label_dtype(label_count))
+    labels.flags.writeable = False
+
     def decide(image: ImageTensor) -> int:
         return int(labels[image.space_rank()])
 
     return ClassifierHandle(params=params, label_count=label_count,
-                            decide=decide, kind=kind, spec=spec)
+                            decide=decide, kind=kind, spec=spec,
+                            batch=lambda: labels)
+
+
+def linear_threshold_classifier(params: SpaceParams, weights: np.ndarray,
+                                threshold: float,
+                                spec: str) -> ClassifierHandle:
+    """Label 1 iff ``weights @ flatten(image) >= threshold``.
+
+    The batch form sums the per-coordinate products ``w_i x_i`` in another
+    order than the dot product, so a score may round differently.  Both
+    sums stay within ``dim * eps * sum|w|`` of the exact score (every
+    ``x_i`` is in [0, 1]); a batch score within twice that, ``4 dim eps
+    sum|w|``, of the threshold is re-decided by ``decide``.
+    """
+    weights = np.array(weights, dtype=np.float64)
+    threshold = float(threshold)
+    if weights.shape != (params.dimension,):
+        raise ValueError(f"expected {params.dimension} weights, got {weights.shape}")
+
+    def decide(image: ImageTensor) -> int:
+        return 1 if float(weights @ flatten(image)) >= threshold else 0
+
+    def batch() -> np.ndarray:
+        values = np.arange(params.level_count, dtype=np.float64) / params.max_level
+        scores = _outer_sums(weights[:, None] * values[None, :])
+        labels = (scores >= threshold).astype(np.uint8)
+        guard = (4 * params.dimension * np.finfo(np.float64).eps
+                 * float(np.abs(weights).sum()))
+        for rank in np.flatnonzero(np.abs(scores - threshold) <= guard).tolist():
+            labels[rank] = decide(image_from_rank(params, rank))
+        return labels
+
+    return ClassifierHandle(params=params, label_count=2, decide=decide,
+                            kind="linear_threshold", spec=spec, batch=batch)
 
 
 def random_classifier(params: SpaceParams, label_count: int, kind: str,
@@ -154,12 +237,8 @@ def random_classifier(params: SpaceParams, label_count: int, kind: str,
             raise ValueError("linear_threshold supports exactly 2 labels")
         weights = rng.standard_normal(params.dimension)
         threshold = float(weights @ rng.random(params.dimension))
-
-        def decide(image: ImageTensor) -> int:
-            return 1 if float(weights @ flatten(image)) >= threshold else 0
-
-        return ClassifierHandle(params=params, label_count=2, decide=decide,
-                                kind="linear_threshold", spec=f"linthresh:{seed}")
+        return linear_threshold_classifier(params, weights, threshold,
+                                           f"linthresh:{seed}")
     raise ValueError(f"unknown kind {kind!r}")
 
 

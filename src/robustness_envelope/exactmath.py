@@ -90,6 +90,18 @@ def tail_table(n: int, p: Fraction) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _lower_tail(n: int, k: int, p: Fraction) -> Fraction:
+    """``U_{n,p}(k)`` for ``0 <= k < n`` as one integer sum: with
+    ``p = a/b``, ``sum_{i<=k} C(n,i) a^i (b-a)^(n-i) / b^n``.  Equal to
+    ``tail_table(n, p)[k]``, without building the other entries."""
+    a, b = p.numerator, p.denominator
+    c = b - a
+    total = 0
+    for i in range(k + 1):
+        total += binom(n, i) * a ** i * c ** (n - i)
+    return Fraction(total, b ** n)
+
+
 def binomial_tail(query: TailQuery) -> Fraction:
     """Exact cumulative probability of at most ``k`` successes."""
     if query.k < 0:
@@ -224,7 +236,7 @@ def solve_p_for_tail(n: int, r: int, target: Fraction,
     # tol / that constant; 1000 halvings is far beyond any valid input.
     for _ in range(1000):
         mid = (lo + hi) / 2
-        value = binomial_tail(TailQuery(n, r, mid))
+        value = _lower_tail(n, r, mid)
         if abs(value - target) <= tol:
             return mid
         if value > target:
@@ -258,7 +270,7 @@ def harper_rhs(n: int, k: int, frac: Fraction,
             p_r = solve_p_for_tail(n, r, frac, solver_tol)
         except NoSolution:
             continue
-        value = binomial_tail(TailQuery(n, r + k, p_r))
+        value = _lower_tail(n, r + k, p_r)
         if best is None or value < best:
             best = value
     if best is None:

@@ -59,7 +59,7 @@ class SpaceParams:
         return 1 << (self.dimension * self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageTensor:
     """An image as a flat tuple of levels, row-major over (x, y, channel)."""
 

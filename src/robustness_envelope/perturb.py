@@ -27,6 +27,7 @@ from .errors import (
     EmptyClass,
     EnumerationCapExceeded,
     NoOtherClass,
+    ShapeMismatch,
     SpaceTooLarge,
 )
 from .image_space import (
@@ -35,10 +36,10 @@ from .image_space import (
     SpaceParams,
     cell_of_point,
     enumerate_space,
+    image_from_rank,
     level_diff_pow_sum,
     norm_distance,
     philox_rng,
-    sample_uniform,
 )
 from .mcstats import wilson_ci
 
@@ -60,7 +61,7 @@ class ContinuousPoint:
         object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationOutcome:
     """Result of one cell-walk search: a different-class image, the image-
     space L2 distance moved, and the number of cells examined; ``result``
@@ -117,21 +118,18 @@ def sample_point_in_cell(image: ImageTensor,
     return ContinuousPoint(tuple(coords))
 
 
-def _coordinate_candidates(params: SpaceParams, x: float):
-    """Per-coordinate cell candidates ordered by squared distance from x."""
-    q = params.level_count
-    entries = []
-    for level in range(q):
-        lo, hi, _ = cell_bounds(params, level)
-        if x < lo:
-            d = lo - x
-        elif x > hi:
-            d = x - hi
-        else:
-            d = 0.0
-        entries.append((d * d, level))
-    entries.sort()
-    return entries
+def _check_radius(radius: float) -> None:
+    if not float(radius) >= 0:  # also rejects NaN
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
+def _check_caps(params: SpaceParams, dim_cap: int, cell_cap: int) -> None:
+    if params.dimension > dim_cap:
+        raise DimensionTooLarge(
+            f"dimension {params.dimension} exceeds cap {dim_cap}")
+    if params.total_images > cell_cap:
+        raise EnumerationCapExceeded(
+            f"{params.total_images} cells exceed cap {cell_cap}")
 
 
 def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
@@ -148,71 +146,89 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     within the radius; equidistant cells tie-break lexicographically.
     Returns a failure outcome iff no different-class cell intersects the
     ball.
+
+    Cells are visited by rank and labelled from the classifier's label
+    vector (:meth:`ClassifierHandle.labels`); ``label_cache`` keeps that
+    vector across calls, keyed by classifier.
     """
+    _check_radius(radius)
     params = image.params
-    dim = params.dimension
-    if dim > dim_cap:
-        raise DimensionTooLarge(f"dimension {dim} exceeds cap {dim_cap}")
-    if params.total_images > cell_cap:
-        raise EnumerationCapExceeded(
-            f"{params.total_images} cells exceed cap {cell_cap}")
+    if params != classifier.params:
+        raise ShapeMismatch(f"image in {params}, classifier on {classifier.params}")
+    _check_caps(params, dim_cap, cell_cap)
     if rng is None:
         rng = philox_rng(0 if seed is None else seed)
     if label_cache is None:
         label_cache = {}
+    labels = label_cache.get(classifier)
+    if labels is None:
+        labels = label_cache[classifier] = classifier.labels(cell_cap)
+    labels = memoryview(labels)
 
     p1 = sample_point_in_cell(image, rng)
-    base_label = classifier.decide(image)
+    base_label = labels[image.space_rank()]
     r2 = float(radius) * float(radius)
-    candidates = [_coordinate_candidates(params, x) for x in p1.coords]
+    q = params.level_count
+    last = params.dimension - 1
+    bounds = [cell_bounds(params, level) for level in range(q)]
+    # Per coordinate: (squared distance from the point, level), sorted.
+    candidates = []
+    for x in p1.coords:
+        entries = []
+        for level, (lo, hi, _) in enumerate(bounds):
+            d = lo - x if x < lo else x - hi if x > hi else 0.0
+            entries.append((d * d, level))
+        entries.sort()
+        candidates.append(entries)
+    leaf_candidates = candidates[last]
 
     best_d2 = math.inf
-    best_levels: tuple[int, ...] | None = None
+    best_rank = -1
     cells_examined = 0
-    prefix = [0] * dim
 
-    def visit(depth: int, partial: float):
-        nonlocal best_d2, best_levels, cells_examined
-        limit = min(r2, best_d2)
-        if depth == dim:
-            cells_examined += 1
-            levels = tuple(prefix)
-            got = label_cache.get(levels)
-            if got is None:
-                got = classifier.decide(ImageTensor(params, levels))
-                label_cache[levels] = got
-            if got != base_label:
-                if partial < best_d2 or (partial == best_d2
-                                         and levels < best_levels):
-                    best_d2 = partial
-                    best_levels = levels
+    # ``head`` is the rank of the levels chosen above ``depth``, times q.
+    def visit(depth: int, partial: float, head: int):
+        nonlocal best_d2, best_rank, cells_examined
+        limit = r2 if r2 < best_d2 else best_d2
+        if depth == last:
+            for d2, level in leaf_candidates:
+                total = partial + d2
+                if total > limit:
+                    break  # candidates are sorted; the rest are farther
+                cells_examined += 1
+                rank = head + level
+                if labels[rank] != base_label and (
+                        total < best_d2
+                        or (total == best_d2 and rank < best_rank)):
+                    best_d2 = total
+                    best_rank = rank
+                    limit = r2 if r2 < best_d2 else best_d2
             return
         for d2, level in candidates[depth]:
             total = partial + d2
             if total > limit:
-                break  # candidates are sorted; the rest are farther
-            prefix[depth] = level
-            visit(depth + 1, total)
-            limit = min(r2, best_d2)
+                break
+            visit(depth + 1, total, (head + level) * q)
+            limit = r2 if r2 < best_d2 else best_d2
 
-    visit(0, 0.0)
+    visit(0, 0.0, 0)
 
-    if best_levels is None:
+    if best_rank < 0:
         return PerturbationOutcome(result=None, l2_moved=0.0,
                                    cells_examined=cells_examined)
 
+    result = image_from_rank(params, best_rank)
     p2 = []
-    for x, level in zip(p1.coords, best_levels):
-        lo, hi, closed_top = cell_bounds(params, level)
+    for x, level in zip(p1.coords, result.levels):
+        lo, hi, closed_top = bounds[level]
         v = min(max(x, lo), hi)
         if v == hi and not closed_top:
             v = math.nextafter(hi, lo)  # keep the point inside the half-open cell
         p2.append(v)
-    result = ImageTensor(params, best_levels)
     if classifier.decide(result) == base_label:
-        raise ContractViolation(f"cell {best_levels} changed its label")
-    if cell_of_point(params, p2).levels != best_levels:
-        raise ContractViolation(f"projected point left cell {best_levels}")
+        raise ContractViolation(f"cell {result.levels} changed its label")
+    if cell_of_point(params, p2).levels != result.levels:
+        raise ContractViolation(f"projected point left cell {result.levels}")
 
     moved = float(norm_distance(image, result, 2))
     # Both endpoints sit inside cells of diameter sqrt(n^2 h)/2^b, and the
@@ -271,24 +287,30 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_radius(radius)
     params = classifier.params
-    if params.total_images <= 4096:
-        if not any(classifier.decide(img) == label
-                   for img in enumerate_space(params)):
-            raise EmptyClass(f"label {label} has no members")
-    label_cache: dict = {}
+    _check_caps(params, DEFAULT_DIMENSION_CAP, DEFAULT_CELL_CAP)
+    labels = classifier.labels(DEFAULT_CELL_CAP)
+    if not (labels == label).any():
+        raise EmptyClass(f"label {label} has no members")
+    label_cache = {classifier: labels}
+    lookup = memoryview(labels)
+    q, dim = params.level_count, params.dimension
     failures = 0
     for index in range(samples):
         rng = philox_rng(seed, index)
         for attempt in range(max_rejections):
-            candidate = sample_uniform(params, 0, rng=rng)
-            if classifier.decide(candidate) == label:
+            levels = rng.integers(0, q, size=dim).tolist()  # as sample_uniform
+            rank = 0
+            for v in levels:
+                rank = rank * q + v
+            if lookup[rank] == label:
                 break
         else:
             raise EmptyClass(
                 f"no member of label {label} after {max_rejections} draws")
-        outcome = find_perturbation(classifier, candidate, radius, rng=rng,
-                                    label_cache=label_cache)
+        outcome = find_perturbation(classifier, ImageTensor(params, levels),
+                                    radius, rng=rng, label_cache=label_cache)
         if not outcome.succeeded:
             failures += 1
     return FailureRateReport(radius=float(radius), samples=samples,

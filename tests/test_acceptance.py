@@ -6,6 +6,7 @@ whole module takes a few minutes at full scale.
 """
 
 import csv
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,10 @@ from robustness_envelope import robustness as rb
 from robustness_envelope import verify
 from robustness_envelope.classifiers import sum_classifier
 from robustness_envelope.image_space import (
+    ImageTensor,
     PerturbationBudget,
     SpaceParams,
+    encode_image,
     enumerate_space,
 )
 
@@ -121,14 +124,66 @@ def test_criterion_07_norm_reductions():
                "(3,1,1), d<=3, p in {2,3}, zero violations")
 
 
+# Every theorem3 check at seed 7: (check id, repr of the margin, detail).
+THEOREM3_PINNED = [
+    ("theorem3/walk-contracts-(2,1,2)", "1.4459074466105402",
+     "300 seeded members, radii (1.5, 2.0): success iff a different-class "
+     "cell intersects the ball; exact length bound"),
+    ("theorem3/failure-rate-r1.5", "0.6689209363460229",
+     "0/10000 failures, CI (0.0000, 0.0004), bound 0.6693"),
+    ("theorem3/failure-rate-r2.0", "0.2902865681025488",
+     "0/10000 failures, CI (0.0000, 0.0004), bound 0.2907"),
+    ("theorem3/l2-robust-fraction-(2,1,2)", "0.2706705664732254",
+     "exhaustive class-0 fraction at size c + 2n sqrt(h)/2^b below "
+     "2 exp(-c^2/2)"),
+    ("theorem3/higher-p-reduction-(2,1,2)", "None",
+     "robust at Lp size d^(2/p) implies robust at L2 size d, p in (3,4)"),
+]
+
+
 def test_criterion_08_walk_contracts():
     suite = verify.suite_theorem3(CFG)
+    assert [(c.check_id, repr(c.margin), c.detail)
+            for c in suite.checks] == THEOREM3_PINNED
     wanted = [c for c in suite.checks
               if "walk-contracts" in c.check_id or "failure-rate" in c.check_id]
     assert len(wanted) == 3
     run_checks(8, wanted,
                "length bound exact on every success; failure rate over "
                "10000 samples within 2e^(-c^2/2)+0.02 at c in {1.5,2.0}")
+
+
+# attack --method findpert cases: (classifier, shape, levels, radius, seed)
+# -> (exit code, result, repr of l2_moved, cells_examined).
+FINDPERT_PINNED = [
+    (("sum", (2, 1, 2), (1, 0, 2, 0), 1.5, 11),
+     (0, [1, 1, 3, 1], "0.5773502691896257", 21)),
+    (("sum", (2, 1, 2), (0, 0, 0, 1), 0.1, 3), (1, None, "0.0", 4)),
+    (("balanced:21", (2, 1, 2), (3, 1, 0, 2), 0.8, 2),
+     (0, [3, 1, 1, 2], "0.3333333333333333", 3)),
+    (("linthresh:3", (3, 1, 2), (0, 1, 2, 3, 0, 1, 2, 3, 0), 1.0, 5),
+     (0, [0, 1, 1, 3, 0, 1, 3, 3, 1], "0.5773502691896257", 38)),
+    (("linthresh:0", (2, 1, 4), (2, 7, 11, 4), 0.5, 9),
+     (0, [2, 8, 11, 4], "0.06666666666666667", 5)),
+    (("uniform:4:3", (2, 1, 3), (5, 0, 7, 2), 0.6, 13),
+     (0, [6, 0, 7, 2], "0.14285714285714285", 6)),
+    (("sum", (3, 1, 2), (0, 0, 1, 0, 2, 0, 0, 1, 0), 1.0, 21),
+     (0, [1, 1, 2, 1, 3, 1, 2, 2, 1], "1.1547005383792515", 18634)),
+]
+
+
+@pytest.mark.parametrize("case,expected", FINDPERT_PINNED,
+                         ids=[f"{c[0]}-{c[1]}-r{c[3]}" for c, _ in FINDPERT_PINNED])
+def test_criterion_08_findpert_cli_pinned(case, expected, capsys, tmp_path):
+    spec, shape, levels, radius, seed = case
+    path = tmp_path / "img.json"
+    path.write_bytes(encode_image(ImageTensor(SpaceParams(*shape), levels)))
+    code = cli.main(["attack", "--image", str(path), "--classifier", spec,
+                     "--method", "findpert", "--radius", str(radius),
+                     "--seed", str(seed)])
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["result"], repr(out["l2_moved"]),
+            out["cells_examined"]) == expected
 
 
 def test_criterion_09_gaussian_suite():

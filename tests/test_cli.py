@@ -133,6 +133,17 @@ class TestAttack:
         assert code == 1
         assert json.loads(out)["result"] is None
 
+    @pytest.mark.parametrize("radius", ["-1", "-0.3", "nan"])
+    def test_bad_findpert_radius_exits_2(self, capsys, tmp_path, radius):
+        image = ImageTensor(SpaceParams(2, 1, 2), (0, 0, 0, 0))
+        path = tmp_path / "img.json"
+        path.write_bytes(encode_image(image))
+        code, out, err = run_cli(capsys, "attack", "--image", str(path),
+                                 "--method", "findpert", f"--radius={radius}",
+                                 "--seed", "1")
+        assert code == 2 and out == ""
+        assert "radius must be >= 0" in err
+
     def test_malformed_image_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,17 @@ class TestHoeffdingRatio:
             24, [Fraction(1, 4), HALF, Fraction(3, 4)])
         assert violations == []
         assert margin > 0
+
+
+class TestSingleTail:
+    def test_equals_tail_table(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randint(1, 60)
+            k = rng.randint(0, n - 1)
+            b = rng.randint(2, 10 ** 6)
+            p = Fraction(rng.randint(1, b - 1), b)
+            assert em._lower_tail(n, k, p) == em.tail_table(n, p)[k]
 
 
 class TestSolveP:

@@ -78,18 +78,22 @@ class TestFindPerturbation:
                 assert c.decide(out.result) != c.decide(img)
 
     def test_drifting_classifier_violates_contract(self):
-        # decide alternates 0, 1, 0, ...: the walk finds the input's own
-        # cell labeled differently, and the re-check sees the label flip back
+        # decide follows the first level until the whole space has been
+        # labelled once, then flips every label: the walk finds cell (1,)
+        # in the other class by the label vector, and the re-check with
+        # decide sees that cell take the input's label
         calls = [0]
 
         def decide(image):
             calls[0] += 1
-            return (calls[0] + 1) % 2
+            first = image.levels[0]
+            return first if calls[0] <= P111.total_images else 1 - first
 
         drifting = ClassifierHandle(params=P111, label_count=2, decide=decide,
                                     kind="drifting", spec="drifting")
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=r"cell \(1,\) changed"):
             pt.find_perturbation(drifting, ImageTensor(P111, (0,)), 0.6, seed=1)
+        assert calls[0] == P111.total_images + 1
 
     def test_dimension_cap(self):
         big = SpaceParams(4, 1, 1)  # dimension 16

@@ -26,11 +26,9 @@ from .classifiers import (
 from .exactmath import (
     DiscretePMF,
     ExactRational,
-    TailQuery,
     anti_concentration_holds,
     binom,
     binomial_spread_holds,
-    binomial_tail,
     harper_rhs,
     hoeffding_ratio_holds,
     mode_bound_holds,
@@ -38,6 +36,7 @@ from .exactmath import (
     pmf_uniform_levels,
     solve_p_for_tail,
     tail_ratio,
+    tail_table,
 )
 from .gaussian import GaussianChecksReport, gaussian_checks, grid_range
 from .hamming import (

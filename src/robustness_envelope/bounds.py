@@ -28,7 +28,7 @@ ROUNDING_NOTE = "6 significant digits, nearest (ties to even)"
 class BoundQuery:
     """Target robustness r in (0,1), norm order p, and space shape."""
 
-    r: float
+    r: float | Fraction
     p: int
     n: int
     h: int
@@ -88,7 +88,7 @@ def evaluate_bounds(q: BoundQuery) -> BoundResult:
         ln_ratio, expansion, cell = _upper_terms(q)
         c_expansion = float(mpmath.sqrt(ln_ratio / 2))
         c_cell = float(mpmath.sqrt(2 * ln_ratio))
-        c_lower = (1 - q.r) / 4
+        c_lower = float((1 - q.r) / 4)
         if q.p <= 1:
             upper = expansion
             term_expansion, term_cell = float(expansion), math.inf
@@ -221,7 +221,7 @@ def _six_digits(value: float) -> str:
                            strip_zeros=False)
 
 
-def bounds_table(r: float, n: int, h: int, b: int,
+def bounds_table(r: float | Fraction, n: int, h: int, b: int,
                  p_list) -> list[BoundTableRow]:
     """One row per requested norm order, deterministically rounded."""
     rows = []

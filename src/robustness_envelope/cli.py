@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -72,18 +73,27 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _decimal(text: str) -> Fraction | float:
+    """A decimal parsed exactly (0.1 is 1/10); ``inf`` and ``nan`` stay
+    floats for the command to accept or reject."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        return float(text)
+
+
 def cmd_bounds(args) -> int:
     r = args.r
+    c = None if args.c is None else float(args.c)
     if r is None:
         # c parametrizes the count-norm route: r = 2 exp(-2 c^2)
-        import math
-        r = 2.0 * math.exp(-2.0 * args.c * args.c)
+        r = 2.0 * math.exp(-2.0 * c * c)
         if not (0 < r < 1):
-            print(f"error: --c {args.c} maps to r={r:.4f} outside (0, 1)",
+            print(f"error: --c {c} maps to r={r:.4f} outside (0, 1)",
                   file=sys.stderr)
             return EXIT_USAGE
     rows = bounds.bounds_table(r, args.n, args.h, args.b, args.p)
-    config = RunConfig(command="bounds", r=r, c=args.c, n=args.n, h=args.h,
+    config = RunConfig(command="bounds", r=float(r), c=c, n=args.n, h=args.h,
                        b=args.b, p=args.p, format=args.format,
                        rounding=bounds.ROUNDING_NOTE).to_dict()
     if args.format == "json":
@@ -144,7 +154,7 @@ def cmd_attack(args) -> int:
                                        cap=args.cap_images)
     config = RunConfig(command="attack", image=args.image,
                        method=args.method, classifier=args.classifier,
-                       norm=args.norm, radius=args.radius,
+                       norm=args.norm, radius=float(args.radius),
                        seed=args.seed).to_dict()
     if args.method == "minimal":
         result = perturb.minimal_perturbation(classifier, image, args.norm,
@@ -202,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="emit the attainable-robustness table")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--r", type=float, default=None,
-                       help="target robust fraction in (0,1)")
-    group.add_argument("--c", type=float, default=None,
+    group.add_argument("--r", type=_decimal, default=None,
+                       help="target robust fraction in (0,1), exact")
+    group.add_argument("--c", type=_decimal, default=None,
                        help="alternative parametrization: r = 2 exp(-2 c^2)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
@@ -234,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("minimal", "findpert"),
                    default="minimal")
     p.add_argument("--norm", type=int, default=0, help="p for --method minimal")
-    p.add_argument("--radius", type=float, default=1.0,
-                   help="search radius for --method findpert")
+    p.add_argument("--radius", type=_decimal, default=Fraction(1),
+                   help="search radius for --method findpert, exact")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap-images", type=int, default=1 << 20)
     p.add_argument("--output", default=None)

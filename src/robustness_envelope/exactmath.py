@@ -15,14 +15,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath
 
 from .errors import (
     AsymmetricY,
-    ContractViolation,
     NoFeasibleR,
     NoSolution,
     PrecisionInsufficient,
@@ -50,65 +48,27 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class TailQuery:
-    """Parameters of a lower binomial tail: ``n`` trials, cutoff ``k``,
-    success probability ``p`` strictly between 0 and 1."""
+def tail_table(n: int, p: Fraction) -> DiscretePMF:
+    """Binomial(n, p) as exact integer counts: with ``p = a/b``, the count
+    of ``i`` is ``C(n,i) a^i (b-a)^(n-i)`` over the denominator ``b^n``.
 
-    n: int
-    k: int
-    p: Fraction
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        p = Fraction(self.p)
-        if not (0 < p < 1):
-            raise ValueError(f"p must be in (0, 1), got {p}")
-        object.__setattr__(self, "p", p)
-
-
-@lru_cache(maxsize=512)
-def tail_table(n: int, p: Fraction) -> tuple[Fraction, ...]:
-    """Exact lower-tail CDF of Binomial(n, p) at every k in 0..n.
-
-    ``table[k] = sum_{i<=k} C(n,i) p^i (1-p)^(n-i)``; the last entry is
-    exactly 1.
+    ``prefix[k]`` is the lower tail ``U_{n,p}(k)`` times ``b^n``, and
+    ``cdf_at`` gives it as a Fraction (0 below the support, 1 above it).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     p = Fraction(p)
-    q = 1 - p
-    term = q ** n  # k = 0 term
-    acc = term
-    out = [acc]
-    for i in range(n):
-        # C(n,i+1) p^(i+1) q^(n-i-1) from the previous term
-        term = term * (n - i) * p / ((i + 1) * q)
-        acc += term
-        out.append(acc)
-    if out[-1] != 1:
-        raise ContractViolation(f"binomial tail sums to {out[-1]}, not 1")
-    return tuple(out)
-
-
-def _lower_tail(n: int, k: int, p: Fraction) -> Fraction:
-    """``U_{n,p}(k)`` for ``0 <= k < n`` as one integer sum: with
-    ``p = a/b``, ``sum_{i<=k} C(n,i) a^i (b-a)^(n-i) / b^n``.  Equal to
-    ``tail_table(n, p)[k]``, without building the other entries."""
+    if not (0 < p < 1):
+        raise ValueError(f"p must be in (0, 1), got {p}")
     a, b = p.numerator, p.denominator
-    c = b - a
-    total = 0
-    for i in range(k + 1):
-        total += binom(n, i) * a ** i * c ** (n - i)
-    return Fraction(total, b ** n)
-
-
-def binomial_tail(query: TailQuery) -> Fraction:
-    """Exact cumulative probability of at most ``k`` successes."""
-    if query.k < 0:
-        return Fraction(0)
-    if query.k >= query.n:
-        return Fraction(1)
-    return tail_table(query.n, query.p)[query.k]
+    a_pows = [1]
+    c_pows = [1]
+    for _ in range(n):
+        a_pows.append(a_pows[-1] * a)
+        c_pows.append(c_pows[-1] * (b - a))
+    counts = tuple(math.comb(n, i) * a_pows[i] * c_pows[n - i]
+                   for i in range(n + 1))
+    return DiscretePMF(0, counts, b ** n)
 
 
 def mode_bound_holds(n: int) -> bool:
@@ -156,11 +116,11 @@ def tail_ratio(n: int, k: int, p: Fraction, x: int) -> Fraction:
         raise ValueError(f"k must be >= 1, got {k}")
     if x > n:
         raise ValueError(f"x must be at most n, got {x}")
-    denominator = binomial_tail(TailQuery(n, x, p))
+    table = tail_table(n, p)
+    denominator = table.cdf_at(x)
     if denominator == 0:
         raise ZeroDenominator(f"U_{{{n},{p}}}({x}) = 0")
-    numerator = binomial_tail(TailQuery(n, x - k, p))
-    return numerator / denominator
+    return table.cdf_at(x - k) / denominator
 
 
 def compare_scaled_exp(lhs: Fraction, coeff: Fraction, exponent: Fraction,
@@ -209,9 +169,10 @@ def hoeffding_ratio_holds(n: int, k: int, p: Fraction, r: int) -> bool:
     """
     if not (n > r >= k >= 1):
         raise ValueError(f"need n > r >= k >= 1, got n={n}, r={r}, k={k}")
-    if binomial_tail(TailQuery(n, r, Fraction(p))) > Fraction(1, 2):
+    table = tail_table(n, p)
+    if 2 * table.prefix[r] > table.denominator:
         raise PreconditionViolated(f"U_{{{n},{p}}}({r}) > 1/2")
-    ratio = tail_ratio(n, k, Fraction(p), r)
+    ratio = Fraction(table.prefix[r - k], table.prefix[r])
     return compare_scaled_exp(ratio, Fraction(2), hoeffding_exponent(n, k)) <= 0
 
 
@@ -230,19 +191,23 @@ def solve_p_for_tail(n: int, r: int, target: Fraction,
     if not (0 < target < 1):
         raise NoSolution(f"target {target} outside (0, 1)")
     tol = Fraction(tol)
-    lo, hi = Fraction(0), Fraction(1)
-    # The tail is Lipschitz in p with constant under n * C(n-1, r), so the
-    # midpoint is within tol well before the interval width reaches
-    # tol / that constant; 1000 halvings is far beyond any valid input.
-    for _ in range(1000):
-        mid = (lo + hi) / 2
-        value = _lower_tail(n, r, mid)
-        if abs(value - target) <= tol:
+    t, td = target.numerator, target.denominator
+    e, ed = tol.numerator, tol.denominator
+    # After j halvings the interval is [lo, lo + 1] / 2^(j-1) and its
+    # midpoint (2 lo + 1) / 2^j.  The tail is Lipschitz in p with constant
+    # under n * C(n-1, r), so the midpoint is within tol well before the
+    # interval width reaches tol / that constant; 1000 halvings is far
+    # beyond any valid input.
+    lo = 0
+    for j in range(1, 1001):
+        mid = Fraction(2 * lo + 1, 1 << j)
+        table = tail_table(n, mid)
+        # (U(r) - target) * denominator * td, compared without division
+        gap = table.prefix[r] * td - t * table.denominator
+        if abs(gap) * ed <= e * table.denominator * td:
             return mid
-        if value > target:
-            lo = mid  # tail decreasing in p: too much mass means p too small
-        else:
-            hi = mid
+        # tail decreasing in p: too much mass means p too small
+        lo = 2 * lo + 1 if gap > 0 else 2 * lo
     raise NoSolution(f"bisection did not reach tol={tol} for n={n}, r={r}")
 
 
@@ -270,7 +235,7 @@ def harper_rhs(n: int, k: int, frac: Fraction,
             p_r = solve_p_for_tail(n, r, frac, solver_tol)
         except NoSolution:
             continue
-        value = _lower_tail(n, r + k, p_r)
+        value = tail_table(n, p_r).cdf_at(r + k)
         if best is None or value < best:
             best = value
     if best is None:
@@ -485,25 +450,25 @@ def tail_ratio_monotone_violations(
 
     Returns ``(violations, min_step)``: the ``(n, k, p, x)`` tuples where
     monotonicity fails (empty on success) and the smallest consecutive
-    ratio increment seen.  All ratios are exact.
+    ratio increment seen.  The ratio is ``prefix[x-k] / prefix[x]`` of the
+    tail table (the denominators cancel), so steps are compared by integer
+    cross-multiplication and each float step is one correctly rounded
+    integer division.
     """
     violations = []
     min_step = math.inf
     for n in range(1, n_max + 1):
         for p in p_values:
-            table = tail_table(n, Fraction(p))
+            prefix = tail_table(n, p).prefix
             for k in range(1, min(k_max, n) + 1):
-                previous = None
-                for x in range(0, n + 1):
-                    numerator = table[x - k] if x - k >= 0 else Fraction(0)
-                    ratio = numerator / table[x]
-                    if previous is not None:
-                        step = float(ratio - previous)
-                        if step < min_step:
-                            min_step = step
-                        if ratio < previous:
-                            violations.append((n, k, Fraction(p), x))
-                    previous = ratio
+                lagged = (0,) * k + prefix  # lagged[x] = prefix[x-k], 0 below
+                for x in range(1, n + 1):
+                    diff = lagged[x] * prefix[x - 1] - lagged[x - 1] * prefix[x]
+                    step = diff / (prefix[x] * prefix[x - 1])
+                    if step < min_step:
+                        min_step = step
+                    if diff < 0:
+                        violations.append((n, k, Fraction(p), x))
     return violations, min_step
 
 
@@ -515,26 +480,26 @@ def hoeffding_sweep_violations(
     Admissible queries are ``n > r >= k >= 1`` with ``U_{n,p}(r) <= 1/2``.
     Returns ``(violations, min_margin)`` where the margin is the float
     distance from ratio to bound; empty violations means the bound held
-    everywhere up to ``n_max``.
+    everywhere up to ``n_max``.  Margins within 1e-9 of zero are decided
+    by the certified comparison.
     """
     violations = []
     min_margin = math.inf
-    half = Fraction(1, 2)
     for n in range(2, n_max + 1):
         for p in p_values:
             p = Fraction(p)
             table = tail_table(n, p)
+            prefix = table.prefix
             for r in range(1, n):
-                if table[r] > half:
+                if 2 * prefix[r] > table.denominator:
                     break  # tails increase in r; later r are inadmissible too
                 for k in range(1, r + 1):
-                    numerator = table[r - k] if r - k >= 0 else Fraction(0)
-                    ratio = numerator / table[r]
-                    exponent = hoeffding_exponent(n, k)
-                    margin = (2.0 * math.exp(float(exponent)) - float(ratio))
+                    margin = (2.0 * math.exp(-2 * (k - 1) ** 2 / n)
+                              - prefix[r - k] / prefix[r])
                     if margin < min_margin:
                         min_margin = margin
                     if margin < 1e-9 and compare_scaled_exp(
-                            ratio, Fraction(2), exponent) > 0:
+                            Fraction(prefix[r - k], prefix[r]), Fraction(2),
+                            hoeffding_exponent(n, k)) > 0:
                         violations.append((n, k, p, r))
     return violations, min_margin

@@ -26,6 +26,8 @@ from .errors import (
 )
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
+# uniform draws allowed to find one member of a class by rejection
+MAX_REJECTIONS = 100_000
 
 
 @dataclass(frozen=True)

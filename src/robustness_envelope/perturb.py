@@ -32,6 +32,7 @@ from .errors import (
 )
 from .image_space import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_REJECTIONS,
     ImageTensor,
     SpaceParams,
     cell_of_point,
@@ -123,20 +124,18 @@ def _check_radius(radius: float) -> None:
         raise ValueError(f"radius must be >= 0, got {radius}")
 
 
-def _check_caps(params: SpaceParams, dim_cap: int, cell_cap: int) -> None:
-    if params.dimension > dim_cap:
+def _check_caps(params: SpaceParams) -> None:
+    if params.dimension > DEFAULT_DIMENSION_CAP:
         raise DimensionTooLarge(
-            f"dimension {params.dimension} exceeds cap {dim_cap}")
-    if params.total_images > cell_cap:
+            f"dimension {params.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
+    if params.total_images > DEFAULT_CELL_CAP:
         raise EnumerationCapExceeded(
-            f"{params.total_images} cells exceed cap {cell_cap}")
+            f"{params.total_images} cells exceed cap {DEFAULT_CELL_CAP}")
 
 
 def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
                       radius: float, seed: int | None = None,
                       rng: np.random.Generator | None = None, *,
-                      dim_cap: int = DEFAULT_DIMENSION_CAP,
-                      cell_cap: int = DEFAULT_CELL_CAP,
                       label_cache: dict | None = None) -> PerturbationOutcome:
     """Randomized search for a nearby different-class image.
 
@@ -155,14 +154,14 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     params = image.params
     if params != classifier.params:
         raise ShapeMismatch(f"image in {params}, classifier on {classifier.params}")
-    _check_caps(params, dim_cap, cell_cap)
+    _check_caps(params)
     if rng is None:
         rng = philox_rng(0 if seed is None else seed)
     if label_cache is None:
         label_cache = {}
     labels = label_cache.get(classifier)
     if labels is None:
-        labels = label_cache[classifier] = classifier.labels(cell_cap)
+        labels = label_cache[classifier] = classifier.labels(DEFAULT_CELL_CAP)
     labels = memoryview(labels)
 
     p1 = sample_point_in_cell(image, rng)
@@ -278,8 +277,7 @@ class FailureRateReport:
 
 
 def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
-                 samples: int, seed: int, *,
-                 max_rejections: int = 100_000) -> FailureRateReport:
+                 samples: int, seed: int) -> FailureRateReport:
     """Failure probability over uniform class members, with a Wilson CI.
 
     Each sample derives its own RNG stream from (seed, index), so the
@@ -289,7 +287,7 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_radius(radius)
     params = classifier.params
-    _check_caps(params, DEFAULT_DIMENSION_CAP, DEFAULT_CELL_CAP)
+    _check_caps(params)
     labels = classifier.labels(DEFAULT_CELL_CAP)
     if not (labels == label).any():
         raise EmptyClass(f"label {label} has no members")
@@ -299,7 +297,7 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     failures = 0
     for index in range(samples):
         rng = philox_rng(seed, index)
-        for attempt in range(max_rejections):
+        for attempt in range(MAX_REJECTIONS):
             levels = rng.integers(0, q, size=dim).tolist()  # as sample_uniform
             rank = 0
             for v in levels:
@@ -308,7 +306,7 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
                 break
         else:
             raise EmptyClass(
-                f"no member of label {label} after {max_rejections} draws")
+                f"no member of label {label} after {MAX_REJECTIONS} draws")
         outcome = find_perturbation(classifier, ImageTensor(params, levels),
                                     radius, rng=rng, label_cache=label_cache)
         if not outcome.succeeded:

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .image_space import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_REJECTIONS,
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
@@ -53,6 +54,7 @@ from .image_space import (
 from .mcstats import wilson_ci
 
 MATRIX_CAP = 2048  # the dense oracle handles spaces up to this many images
+BALL_CAP = 1 << 20  # count-norm balls image_is_robust enumerates
 
 CSV_HEADER = ("n", "h", "b", "classifier", "label", "p", "size", "method",
               "fraction", "ci_lo", "ci_hi", "samples", "seed")
@@ -190,9 +192,7 @@ def robust_flags_by_matrix(classifier: ClassifierHandle,
 
 def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
                     budget: PerturbationBudget, *,
-                    ball_cap: int = 1 << 20,
-                    cap: int = DEFAULT_ENUMERATION_CAP,
-                    force_scan: bool = False) -> bool:
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Whether every image within the budget keeps the input's label.
 
     p = 0 enumerates the perturbation ball directly; p >= 1 compares the
@@ -209,8 +209,8 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
         alt = params.max_level  # alternative values per changed channel
         ball = sum(math.comb(params.dimension, j) * alt ** j
                    for j in range(d + 1))
-        if ball > ball_cap:
-            raise BallTooLarge(f"ball holds {ball} images, cap is {ball_cap}")
+        if ball > BALL_CAP:
+            raise BallTooLarge(f"ball holds {ball} images, cap is {BALL_CAP}")
         base = list(image.levels)
         others = [[v for v in range(params.level_count) if v != base[i]]
                   for i in range(params.dimension)]
@@ -223,7 +223,7 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
                     if classifier.decide(ImageTensor(params, tuple(candidate))) != base_label:
                         return False
         return True
-    if classifier.kind == "sum" and not force_scan:
+    if classifier.kind == "sum":
         # robust iff the minimal attack lands strictly beyond the budget;
         # for p = 1 `exact` is the distance, beyond that its p-th power
         attack = perturb.attack_sum_classifier(image, budget.p)
@@ -304,8 +304,7 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
                           samples: Optional[int] = None,
                           seed: Optional[int] = None,
                           cap: int = DEFAULT_ENUMERATION_CAP,
-                          sampler: str = "rejection",
-                          max_rejections: int = 100_000) -> RobustnessReport:
+                          sampler: str = "rejection") -> RobustnessReport:
     """Robust fraction of one class: exact enumeration or Monte Carlo."""
     params = classifier.params
     if method == "exhaustive":
@@ -330,13 +329,13 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
             if sampler == "conditional" and classifier.kind == "sum":
                 member = sample_sum_class_member(params, label, rng)
             else:
-                for _ in range(max_rejections):
+                for _ in range(MAX_REJECTIONS):
                     member = sample_uniform(params, 0, rng=rng)
                     if classifier.decide(member) == label:
                         break
                 else:
                     raise EmptyClass(
-                        f"no member of label {label} after {max_rejections} draws")
+                        f"no member of label {label} after {MAX_REJECTIONS} draws")
             if image_is_robust(classifier, member, budget, cap=cap):
                 robust_count += 1
         return RobustnessReport(

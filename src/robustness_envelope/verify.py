@@ -113,9 +113,9 @@ def suite_binomial(cfg: VerifyConfig) -> SuiteReport:
         for n in range(1, 65):
             if n > 1:
                 acc = exactmath.pmf_convolve(acc, base)
+            table = exactmath.tail_table(n, p)
             for k in (0, n // 2, n - 1):
-                if acc.cdf_at(k) != exactmath.binomial_tail(
-                        exactmath.TailQuery(n, k, p)):
+                if acc.cdf_at(k) != table.cdf_at(k):
                     bad.append((n, k, p))
     checks.append(CheckResult(
         "binomial/tail-vs-convolution", not bad, None,

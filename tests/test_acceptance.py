@@ -56,7 +56,20 @@ def test_criterion_01_binomial_suite():
               "binomial/hoeffding-ratio"}
     checks = [c for c in suite.checks if c.check_id in wanted]
     assert len(checks) == 3
-    assert_margins(suite, {"binomial/tail-ratio-monotone": "0.0"})
+    # every check's exact margin repr and detail
+    assert [(c.check_id, c.passed, repr(c.margin), c.detail)
+            for c in suite.checks] == [
+        ("binomial/pascal-identity", True, "None", "n <= 200, exhaustive"),
+        ("binomial/row-sum", True, "None", "n <= 200, exhaustive"),
+        ("binomial/mode-bound", True, "0.45163270528973953",
+         "n <= 10000, min log gap 0.451633"),
+        ("binomial/tail-ratio-monotone", True, "0.0",
+         "n <= 40, k <= 5, p in j/10; exhaustive"),
+        ("binomial/hoeffding-ratio", True, "3.8309579032561554e-29",
+         "admissible sweep n <= 64, p in (1/4,1/2,3/4); exhaustive"),
+        ("binomial/tail-vs-convolution", True, "None",
+         "n <= 64, tails equal exact convolution CDFs"),
+    ]
     run_checks(1, checks,
                "mode bound n<=1e4, tail-ratio monotone n<=40, "
                "Hoeffding sweep n<=64, zero violations")

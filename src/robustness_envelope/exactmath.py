@@ -33,6 +33,8 @@ from .errors import (
 ExactRational = Fraction
 
 DEFAULT_SUPPORT_CAP = 1 << 24
+# log gap below which mode_bound_sweep settles the bound with exact integers
+MODE_GAP_GUARD = 1e-6
 
 
 def binom(n: int, k: int) -> int:
@@ -89,7 +91,9 @@ def mode_bound_sweep(n_max: int) -> tuple[int | None, float]:
     Maintains the central binomial coefficient incrementally so the sweep
     stays fast for large ``n_max``.  Returns ``(first_violation, min_log_gap)``
     where the gap is ``2n ln2 - ln(C^2 n)``; a violation would make the gap
-    non-positive.
+    non-positive.  The float gap is within about ``n 2^-48`` of the exact
+    one, so the exact integer comparison runs only where the gap does not
+    clear ``MODE_GAP_GUARD`` plus that error.
     """
     c = 1  # C(1, 0)
     min_gap = math.inf
@@ -101,12 +105,12 @@ def mode_bound_sweep(n_max: int) -> tuple[int | None, float]:
                 c = 2 * c
             else:
                 c = c * n // ((n + 1) // 2)
-        if c * c * n >= 1 << (2 * n):
-            if first_violation is None:
-                first_violation = n
         gap = 2 * n * ln2 - (2 * math.log(c) + math.log(n))
         if gap < min_gap:
             min_gap = gap
+        if (first_violation is None and gap <= MODE_GAP_GUARD + n * 2.0 ** -40
+                and c * c * n >= 1 << (2 * n)):
+            first_violation = n
     return first_violation, min_gap
 
 

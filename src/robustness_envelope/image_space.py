@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,6 +191,33 @@ def philox_rng(seed: int, index: int = 0) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """``index -> philox_rng(seed, index)`` over one re-keyed generator.
+
+    Each call sets the one Philox bit generator to the state a fresh
+    ``Philox(key=(seed, index))`` starts in (counter 0, empty buffer, no
+    buffered 32-bit half) and returns the same :class:`numpy.random.Generator`,
+    so a stream is valid until the next call.  The draws equal
+    :func:`philox_rng`'s, which stays the reference.
+    """
+    seed &= 0xFFFFFFFFFFFFFFFF
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+
+    def stream(index: int) -> np.random.Generator:
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([seed, index & 0xFFFFFFFFFFFFFFFF],
+                                      dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return generator
+
+    return stream
 
 
 def sample_uniform(params: SpaceParams, seed: int, index: int = 0,

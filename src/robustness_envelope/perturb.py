@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +41,15 @@ from .image_space import (
     level_diff_pow_sum,
     norm_distance,
     philox_rng,
+    philox_streams,
 )
 from .mcstats import wilson_ci
 
 DEFAULT_DIMENSION_CAP = 12
 DEFAULT_CELL_CAP = 1 << 20
+# cell distances the full-enumeration oracle holds at once: 32 points of a
+# 256-cell space
+_ORACLE_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -239,30 +243,48 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
                                cells_examined=cells_examined)
 
 
-def nearest_cell_exhaustive(classifier: ClassifierHandle,
-                            point: ContinuousPoint,
-                            base_label: int) -> tuple[float, tuple[int, ...] | None]:
-    """Full-scan oracle: squared distance to the closest different-class
-    cell, with lexicographic tie-break.  Independent of the pruned walk."""
+def nearest_cell_exhaustive(
+        classifier: ClassifierHandle, points: Sequence[ContinuousPoint],
+        base_label: int) -> list[tuple[float, tuple[int, ...] | None]]:
+    """Full-enumeration oracle: per point, the squared distance to the
+    closest cell not labelled ``base_label`` and that cell's levels, or
+    ``(inf, None)`` if there is none; equidistant cells tie-break
+    lexicographically.  Independent of the pruned walk.
+
+    Every cell is labelled by one ``decide`` call per call of the oracle.
+    Per coordinate, a table holds each level's squared gap from the point,
+    by the walk's float expressions; the tables are added in coordinate
+    order, first coordinate most significant, so each cell's sum is the
+    walk's ``partial + d2`` and its position is its rank.  The first
+    smallest unmasked sum is then the lexicographically first nearest cell.
+    """
     params = classifier.params
-    best_d2 = math.inf
-    best_levels = None
-    for levels in product(range(params.level_count), repeat=params.dimension):
-        if classifier.decide(ImageTensor(params, levels)) == base_label:
-            continue
-        d2 = 0.0
-        # same per-coordinate float expression as the walk, so distance
-        # ties resolve identically; only the enumeration is independent
-        for x, level in zip(point.coords, levels):
-            lo, hi, _ = cell_bounds(params, level)
-            if x < lo:
-                d2 += (lo - x) * (lo - x)
-            elif x > hi:
-                d2 += (x - hi) * (x - hi)
-        if d2 < best_d2 or (d2 == best_d2 and levels < best_levels):
-            best_d2 = d2
-            best_levels = levels
-    return best_d2, best_levels
+    _check_caps(params)
+    q, total = params.level_count, params.total_images
+    masked = np.fromiter(
+        (classifier.decide(ImageTensor(params, levels)) == base_label
+         for levels in product(range(q), repeat=params.dimension)),
+        dtype=bool, count=total)
+    lo = np.array([cell_bounds(params, level)[0] for level in range(q)])
+    hi = np.array([cell_bounds(params, level)[1] for level in range(q)])
+    results = []
+    chunk = max(1, _ORACLE_CHUNK_CELLS // total)
+    for start in range(0, len(points), chunk):
+        coords = np.array([point.coords for point in points[start:start + chunk]])
+        sums = None
+        for x in coords.T:
+            x = x[:, None]
+            below, above = lo - x, x - hi
+            gaps = np.where(x < lo, below * below,
+                            np.where(x > hi, above * above, 0.0))
+            sums = gaps if sums is None else (
+                sums[:, :, None] + gaps[:, None, :]).reshape(len(x), -1)
+        sums[:, masked] = math.inf
+        for row, rank in zip(sums, sums.argmin(axis=1)):
+            d2 = float(row[rank])
+            results.append((d2, None) if d2 == math.inf else
+                           (d2, image_from_rank(params, int(rank)).levels))
+    return results
 
 
 @dataclass(frozen=True)
@@ -294,9 +316,10 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     label_cache = {classifier: labels}
     lookup = memoryview(labels)
     q, dim = params.level_count, params.dimension
+    streams = philox_streams(seed)
     failures = 0
     for index in range(samples):
-        rng = philox_rng(seed, index)
+        rng = streams(index)
         for attempt in range(MAX_REJECTIONS):
             levels = rng.integers(0, q, size=dim).tolist()  # as sample_uniform
             rank = 0

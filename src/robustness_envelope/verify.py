@@ -24,6 +24,7 @@ from .image_space import (
     SpaceParams,
     level_diff_pow_sum,
     philox_rng,
+    philox_streams,
 )
 
 
@@ -395,11 +396,12 @@ def suite_anticonc(cfg: VerifyConfig) -> SuiteReport:
         for name, y in family:
             s = exactmath.pmf_convolve(x, y)
             # t = j + 1/2 < n/2: Pr[X + Y <= t] >= Pr[X < t] reads the CDFs
-            # of s = x + y and x at j
+            # of s = x + y and x at j.  The margin skips point0 (Y = 0, equal
+            # sides at every t) and steps where both sides are 0.
             for j in range(-2, n // 2):
                 lhs, rhs = s.cdf_at(j), x.cdf_at(j)
                 margin = float(lhs - rhs)
-                if margin < worst:
+                if margin < worst and name != "point0" and (lhs or rhs):
                     worst = margin
                 if lhs < rhs:
                     counterexample = (n, name, Fraction(2 * j + 1, 2))
@@ -563,20 +565,27 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     classifier = sum_classifier(params)
     radii = (1.5, 2.0)
 
-    # Walk contracts against the independent full-scan oracle, with the
-    # length bound compared exactly on integer level differences.
+    # Walk contracts against the independent full-enumeration oracle, with
+    # the length bound compared exactly on integer level differences.
+    members_rng = philox_streams(cfg.seed)
+    points_rng = philox_streams(cfg.seed ^ 0x5EED)
+    members, points = [], []
+    for index in range(300):
+        member = robustness.sample_sum_class_member(params, 0,
+                                                    members_rng(index))
+        members.append(member)
+        for at in range(len(radii)):
+            points.append(perturb.sample_point_in_cell(
+                member, points_rng(index * len(radii) + at)))
+    nearest = perturb.nearest_cell_exhaustive(classifier, points, 0)
     label_cache: dict = {}
     contract_bad = None
     worst = math.inf
     top = params.max_level
-    for index in range(300):
-        rng = philox_rng(cfg.seed, index)
-        member = robustness.sample_sum_class_member(params, 0, rng)
-        for radius in radii:
-            stream = philox_rng(cfg.seed ^ 0x5EED, index * len(radii)
-                                + radii.index(radius))
-            point = perturb.sample_point_in_cell(member, stream)
-            oracle_d2, _ = perturb.nearest_cell_exhaustive(classifier, point, 0)
+    for index, member in enumerate(members):
+        for at, radius in enumerate(radii):
+            point = points[index * len(radii) + at]
+            oracle_d2, _ = nearest[index * len(radii) + at]
             replay = _ReplayRng(point.coords)
             outcome = perturb.find_perturbation(classifier, member, radius,
                                                 rng=replay,

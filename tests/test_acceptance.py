@@ -124,7 +124,7 @@ def test_criterion_05_theorem2_exact():
 def test_criterion_06_anti_concentration():
     suite = verify.suite_anticonc(CFG)
     assert_margins(suite, {"anticonc/sum-left-tail": "0.11217337687398343",
-                           "anticonc/binomial-spread": "0.0"})
+                           "anticonc/binomial-spread": "1.9073486328125e-07"})
     run_checks(6, list(suite.checks),
                "binomial-spread n<=20 and left-tail bound n<=64, "
                "2k in {2,4,8}, exact convolutions, zero violations")

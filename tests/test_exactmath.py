@@ -145,7 +145,37 @@ class TestBinomialTail:
             assert total.cdf_at(k) == table.cdf_at(k)
 
 
+def mode_bound_sweep_oracle(n_max):
+    """The sweep that squares the central coefficient at every n, kept as
+    a test oracle for the float-filtered sweep."""
+    c = 1
+    min_gap = math.inf
+    first_violation = None
+    ln2 = math.log(2)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            if n % 2 == 0:
+                c = 2 * c
+            else:
+                c = c * n // ((n + 1) // 2)
+        if c * c * n >= 1 << (2 * n):
+            if first_violation is None:
+                first_violation = n
+        gap = 2 * n * ln2 - (2 * math.log(c) + math.log(n))
+        if gap < min_gap:
+            min_gap = gap
+    return first_violation, min_gap
+
+
 class TestModeBound:
+    @pytest.mark.parametrize("guard", [None, math.inf])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 10, 101, 3000])
+    def test_sweep_equals_oracle(self, monkeypatch, guard, n_max):
+        # guard inf makes the exact comparison run at every n
+        if guard is not None:
+            monkeypatch.setattr(em, "MODE_GAP_GUARD", guard)
+        assert em.mode_bound_sweep(n_max) == mode_bound_sweep_oracle(n_max)
+
     def test_tiny_cases(self):
         assert em.mode_bound_holds(1)
         assert em.mode_bound_holds(4)  # 144 < 256

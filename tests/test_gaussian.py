@@ -196,23 +196,36 @@ def test_report_equals_oracle(name):
 
 
 REAL_ERFC = mpmath.erfc
+REAL_MATH_ERFC = math.erfc
+
+
+def patch_erfc(monkeypatch, fault):
+    """Apply one fault to both evaluators, mpmath's erfc and the float
+    filter's ``math.erfc``, so that both see it."""
+    monkeypatch.setattr(mpmath, "erfc", fault(REAL_ERFC, mpmath))
+    monkeypatch.setattr(math, "erfc", fault(REAL_MATH_ERFC, math))
 
 
 def bumped_erfc(z0, height, width):
     """erfc times a Gaussian bump at ``z0``: Phi(v) lifted near
     v = -z0 sqrt(2) only."""
-    return lambda z: REAL_ERFC(z) * (
-        1 + height * mpmath.exp(-width * (z - z0) ** 2))
+    return lambda erfc, lib: lambda z: erfc(z) * (
+        1 + height * lib.exp(-width * (z - z0) ** 2))
 
 
-# Each faulty erfc makes (at least) the named check fail.
+def unchanged(erfc, lib):
+    return erfc
+
+
+# Each faulty erfc, built from an erfc and its library's exp and sin,
+# makes (at least) the named check fail.
 FAULTY_ERFC = {
     # Phi times a wobble is not log-concave, so shifted ratios dip
-    "monotone": lambda z: REAL_ERFC(z) * (1 + mpmath.sin(20 * z) / 2),
+    "monotone": lambda erfc, lib: lambda z: erfc(z) * (1 + lib.sin(20 * z) / 2),
     # Phi tripled leaves every ratio alone, but Phi(0) = 3/2 > 1
-    "tail": lambda z: REAL_ERFC(z) * 3,
+    "tail": lambda erfc, lib: lambda z: erfc(z) * 3,
     # Phi tilted by exp(-5v/sqrt(2)) multiplies each ratio by exp(5k/sqrt(2))
-    "ratio_half": lambda z: REAL_ERFC(z) * mpmath.exp(5 * z),
+    "ratio_half": lambda erfc, lib: lambda z: erfc(z) * lib.exp(5 * z),
     # a bump near v = -2.1 lifts ratios anchored below 1/2 only
     "ratio_general": bumped_erfc(1.5, 50, 50),
 }
@@ -220,19 +233,19 @@ FAULTY_ERFC = {
 
 @pytest.mark.parametrize("check", FAULTY_ERFC)
 def test_forced_failures_equal_oracle(monkeypatch, check):
-    monkeypatch.setattr(mpmath, "erfc", FAULTY_ERFC[check])
+    patch_erfc(monkeypatch, FAULTY_ERFC[check])
     grid, k_grid = gaussian.grid_range(-3.0, 1.0, 0.25), [0.5, 1.0, 2.0]
     report = gaussian.gaussian_checks(grid, k_grid)
     assert check in {name for name, *_ in report.failures}
     assert report == oracle_gaussian_checks(grid, k_grid)
 
 
-# (grid, k grid, certified precision, erfc) whose first undecided margin
-# belongs to the named check.
+# (grid, k grid, certified precision, erfc fault) whose first undecided
+# margin belongs to the named check.
 GUARD_CASES = {
-    "monotone": ([-1.0, 0.0], [1.0], 0.5, REAL_ERFC),
-    "tail": ([-2.0, 0.5], [2.0], 0.1, REAL_ERFC),
-    "ratio_half": ([-2.0], [1.0], 0.3, REAL_ERFC),
+    "monotone": ([-1.0, 0.0], [1.0], 0.5, unchanged),
+    "tail": ([-2.0, 0.5], [2.0], 0.1, unchanged),
+    "ratio_half": ([-2.0], [1.0], 0.3, unchanged),
     # Phi(-2) lifted 8.4-fold: the ratio anchored at -1 nears its bound
     # while the monotone step from it fails outright
     "ratio_general": ([-1.0, 0.25], [1.0], 0.1,
@@ -242,8 +255,8 @@ GUARD_CASES = {
 
 @pytest.mark.parametrize("check", GUARD_CASES)
 def test_guard_raises_like_oracle(monkeypatch, check):
-    grid, k_grid, precision, erfc = GUARD_CASES[check]
-    monkeypatch.setattr(mpmath, "erfc", erfc)
+    grid, k_grid, precision, fault = GUARD_CASES[check]
+    patch_erfc(monkeypatch, fault)
     monkeypatch.setattr(gaussian, "PRECISION", precision)
     with pytest.raises(PrecisionInsufficient) as got:
         gaussian.gaussian_checks(grid, k_grid)
@@ -251,3 +264,58 @@ def test_guard_raises_like_oracle(monkeypatch, check):
         oracle_gaussian_checks(grid, k_grid, precision)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(check + " ")
+
+
+def suite_arguments():
+    """Every (float, exact) argument pair at which the gaussian suite
+    evaluates Phi: the grid, x - k for every x and k, 1/2 - k and 1/2."""
+    grid, k_grid = ORACLE_GRIDS["acceptance"]
+    pairs = {(x, mpmath.mpf(x)) for x in grid + [0.5]}
+    for k in k_grid:
+        pairs |= {(x - k, mpmath.mpf(x) - mpmath.mpf(k)) for x in grid + [0.5]}
+    return pairs
+
+
+def test_float_phi_within_bound_on_suite_arguments():
+    dps = 27
+    worst = 0.0
+    arguments = suite_arguments()
+    with mpmath.workdps(dps):
+        for v, exact in arguments:
+            want = gaussian.std_normal_cdf(exact, dps)
+            worst = max(worst, float(abs(gaussian.float_phi(v) / want - 1)))
+    assert worst <= gaussian.FLOAT_ERR
+    assert len(arguments) > 1900
+
+
+def test_float_phi_within_bound_down_to_underflow():
+    with mpmath.workdps(27):
+        for i in range(2001):
+            v = -37.5 + i * 45.5 / 2000
+            want = gaussian.std_normal_cdf(v, 27)
+            assert abs(gaussian.float_phi(v) / want - 1) <= gaussian.FLOAT_ERR, v
+    # below the normal floats the filter gets NaN and defers to mpmath
+    assert math.isnan(gaussian.float_phi(-38.5))
+    assert math.isnan(gaussian.float_phi(-1e3))
+
+
+@pytest.mark.parametrize("name", ["coarse", "above-half", "no-anchors"])
+def test_filter_off_gives_the_same_report(monkeypatch, name):
+    # a float error bound of 1 sends every comparison and every margin to
+    # mpmath
+    grid, k_grid = ORACLE_GRIDS[name]
+    filtered = gaussian.gaussian_checks(grid, k_grid)
+    monkeypatch.setattr(gaussian, "FLOAT_ERR", 1.0)
+    assert gaussian.gaussian_checks(grid, k_grid) == filtered
+
+
+def test_filter_leaves_few_certified_evaluations(monkeypatch):
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return REAL_ERFC(z)
+
+    monkeypatch.setattr(mpmath, "erfc", counting)
+    gaussian.gaussian_checks(*ORACLE_GRIDS["acceptance"])
+    assert len(calls) <= 10  # 7073 without the filter

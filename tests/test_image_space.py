@@ -162,6 +162,34 @@ class TestSampling:
         assert chi2 < 11.34
 
 
+def stream_draws(rng):
+    """Mixed draws: bounded integers, which keep a buffered 32-bit half,
+    interleaved with doubles."""
+    return [rng.integers(0, 4, size=4).tolist(), rng.uniform(0, 1),
+            rng.integers(0, 4, size=4).tolist(), rng.uniform(0, 1),
+            rng.uniform(0, 1), rng.integers(0, 4, size=4).tolist(),
+            rng.uniform(0, 1)]
+
+
+class TestPhiloxStreams:
+    def test_equal_to_philox_rng_on_every_drawn_stream(self):
+        # indices 0..19999 at seed 7 cover both failure-rate checks; the
+        # second seed holds the 600 point streams of the walk contracts
+        for seed, count in ((7, 20_000), (7 ^ 0x5EED, 600)):
+            streams = isp.philox_streams(seed)
+            for index in range(count):
+                assert stream_draws(streams(index)) == \
+                    stream_draws(isp.philox_rng(seed, index)), (seed, index)
+
+    def test_rekeying_discards_a_partly_used_stream(self):
+        streams = isp.philox_streams(3)
+        streams(5).integers(0, 4, size=3)  # leaves a buffered half behind
+        assert stream_draws(streams(5)) == stream_draws(isp.philox_rng(3, 5))
+        big = (1 << 64) + 9  # keys wrap modulo 2^64, as in philox_rng
+        assert stream_draws(isp.philox_streams(big)(big)) == \
+            stream_draws(isp.philox_rng(big, big))
+
+
 class TestSerialization:
     def test_round_trip_exhaustive(self):
         for image in isp.enumerate_space(P211):

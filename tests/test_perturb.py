@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from robustness_envelope import perturb as pt
 from robustness_envelope import robustness as rb
 from robustness_envelope.classifiers import (
     ClassifierHandle,
+    parse_classifier_spec,
     random_classifier,
     sum_classifier,
 )
@@ -24,6 +26,7 @@ from robustness_envelope.image_space import (
     norm_distance,
     norm_pth_power,
     philox_rng,
+    sample_uniform,
 )
 
 P111 = SpaceParams(1, 1, 1)
@@ -106,11 +109,11 @@ class TestFindPerturbation:
         label_cache = {}
         for index in range(40):
             rng = philox_rng(100, index)
-            from robustness_envelope.image_space import sample_uniform
             img = sample_uniform(P212, 0, rng=rng)
             point = pt.sample_point_in_cell(img, philox_rng(200, index))
             base = c.decide(img)
-            oracle_d2, oracle_cell = pt.nearest_cell_exhaustive(c, point, base)
+            [(oracle_d2, oracle_cell)] = pt.nearest_cell_exhaustive(
+                c, [point], base)
             for radius in (0.3, 0.8, 1.4):
                 replay = _Replay(point.coords)
                 out = pt.find_perturbation(c, img, radius, rng=replay,
@@ -130,6 +133,77 @@ class _Replay:
         v = self._coords[self._at]
         self._at += 1
         return v
+
+
+def nearest_cell_scan(classifier, point, base_label):
+    """The per-point full scan, kept as a test oracle for the batched
+    nearest-cell oracle: one ``decide`` per cell and point, distances by
+    the walk's float expressions, lexicographic tie-break."""
+    params = classifier.params
+    best_d2 = math.inf
+    best_levels = None
+    for levels in product(range(params.level_count), repeat=params.dimension):
+        if classifier.decide(ImageTensor(params, levels)) == base_label:
+            continue
+        d2 = 0.0
+        for x, level in zip(point.coords, levels):
+            lo, hi, _ = pt.cell_bounds(params, level)
+            if x < lo:
+                d2 += (lo - x) * (lo - x)
+            elif x > hi:
+                d2 += (x - hi) * (x - hi)
+        if d2 < best_d2 or (d2 == best_d2 and levels < best_levels):
+            best_d2 = d2
+            best_levels = levels
+    return best_d2, best_levels
+
+
+ORACLE_CASES = [((2, 1, 2), "sum", 40), ((2, 1, 2), "balanced:21", 40),
+                ((2, 1, 2), "linthresh:3", 40), ((3, 1, 1), "linthresh:5", 40),
+                ((3, 1, 1), "uniform:9:3", 40), ((2, 1, 3), "balanced:4", 6)]
+
+
+def oracle_points(params, count, seed):
+    """Seeded points inside cells, then points whose coordinates all sit on
+    cell edges or the cube's top face."""
+    points = [pt.sample_point_in_cell(sample_uniform(params, seed, index),
+                                      philox_rng(seed + 1, index))
+              for index in range(count)]
+    edges = (0.25, 0.5, 1.0)
+    for index in range(count):
+        coords = [edges[(index + 2 * i) % 3] for i in range(params.dimension)]
+        points.append(pt.ContinuousPoint(tuple(coords)))
+    return points
+
+
+class TestNearestCellOracle:
+    @pytest.mark.parametrize("shape, spec, count", ORACLE_CASES)
+    def test_batched_equals_scan(self, shape, spec, count):
+        params = SpaceParams(*shape)
+        c = parse_classifier_spec(spec, params)
+        points = oracle_points(params, count, 300)
+        for base in range(c.label_count):
+            got = pt.nearest_cell_exhaustive(c, points, base)
+            assert got == [nearest_cell_scan(c, point, base)
+                           for point in points]
+
+    def test_chunks_join_in_point_order(self, monkeypatch):
+        c = sum_classifier(P212)
+        points = oracle_points(P212, 20, 5)
+        whole = pt.nearest_cell_exhaustive(c, points, 1)
+        monkeypatch.setattr(pt, "_ORACLE_CHUNK_CELLS", 3 * 256)
+        assert pt.nearest_cell_exhaustive(c, points, 1) == whole
+        assert pt.nearest_cell_exhaustive(c, [], 1) == []
+
+    def test_constant_classifier(self):
+        c = constant_classifier(P212)
+        points = oracle_points(P212, 5, 9)
+        assert pt.nearest_cell_exhaustive(c, points, 0) == \
+            [(math.inf, None)] * len(points)
+        # every cell differs from label 1: the point's own cell, at 0
+        got = pt.nearest_cell_exhaustive(c, points, 1)
+        assert got == [nearest_cell_scan(c, point, 1) for point in points]
+        assert all(d2 == 0.0 for d2, _ in got)
 
 
 class TestFailureRate:

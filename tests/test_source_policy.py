@@ -12,3 +12,39 @@ def test_no_assert_statements_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Where numpy generators may be built: every stream of the program comes
+# from image_space (keyed by seed and index); random_classifier draws its
+# label table from default_rng.
+RNG_ALLOWED = {("classifiers.py", "random_classifier", "default_rng")}
+
+
+def rng_constructions(path):
+    """(file, enclosing function, name) of every ``np.random.<name>(...)``
+    call in one source file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "random"):
+                found.append((path.name, function, func.attr))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_generators_built_only_in_image_space():
+    found = [site for path in sorted(SRC.rglob("*.py"))
+             for site in rng_constructions(path)
+             if path.name != "image_space.py"]
+    assert set(found) <= RNG_ALLOWED, found
+    built = rng_constructions(SRC / "robustness_envelope" / "image_space.py")
+    assert {name for _, _, name in built} == {"Philox", "Generator"}

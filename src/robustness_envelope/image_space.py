@@ -220,6 +220,54 @@ def philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
     return stream
 
 
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3", SC 2011): the two round multipliers and the two Weyl key increments.
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products ``a * m``, from 32-bit
+    halves so that no partial product overflows 64 bits."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> 32
+    lh, hl = a_lo * m_hi, a_hi * m_lo
+    mid = ((a_lo * m_lo) >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    return a * np.uint64(m), a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+
+
+def philox_words(seed: int, indices, count: int, start: int = 0) -> np.ndarray:
+    """Raw 64-bit words ``start .. start + count`` of the streams ``indices``.
+
+    Row ``j`` equals ``philox_rng(seed, indices[j]).bit_generator.random_raw
+    (start + count)[start:]``, computed for all rows at once: word ``w`` is
+    lane ``w % 4`` of Philox4x64-10 at counter ``w // 4 + 1`` (numpy
+    increments the counter before its first block) under the key
+    ``(seed, index)``.
+    """
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+        keys = indices.astype(np.uint64)  # wraps like ``index & _MASK64``
+    else:
+        keys = np.array([int(i) & _MASK64 for i in indices], dtype=np.uint64)
+    first, last = start // 4, (start + count + 3) // 4
+    shape = (len(keys), last - first)
+    c0 = np.broadcast_to(np.arange(first + 1, last + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed & _MASK64, keys[:, None]
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            k0 = (k0 + _PHILOX_WEYL[0]) & _MASK64
+            k1 = k1 + np.uint64(_PHILOX_WEYL[1])
+        lo0, hi0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
+        lo1, hi1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=2).reshape(len(keys), 4 * shape[1])
+    return words[:, start - 4 * first:start - 4 * first + count]
+
+
 def sample_uniform(params: SpaceParams, seed: int, index: int = 0,
                    rng: np.random.Generator | None = None) -> ImageTensor:
     """Uniform image: each level drawn independently from [0, 2^b - 1]."""

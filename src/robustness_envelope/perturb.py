@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .image_space import (
     level_diff_pow_sum,
     norm_distance,
     philox_rng,
-    philox_streams,
+    philox_words,
 )
 from .mcstats import wilson_ci
 
@@ -50,6 +50,11 @@ DEFAULT_CELL_CAP = 1 << 20
 # cell distances the full-enumeration oracle holds at once: 32 points of a
 # 256-cell space
 _ORACLE_CHUNK_CELLS = 1 << 13
+# raw Philox words failure_rate's decoder holds at once, and streams per chunk
+_DRAW_WORDS = 1 << 13
+_DRAW_STREAMS = 1 << 10
+# images one walk keeps by rank for its later samples
+_IMAGES_KEPT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -166,81 +171,113 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     labels = label_cache.get(classifier)
     if labels is None:
         labels = label_cache[classifier] = classifier.labels(DEFAULT_CELL_CAP)
-    labels = memoryview(labels)
-
+    walk = _CellWalk(classifier, labels)
     p1 = sample_point_in_cell(image, rng)
-    base_label = labels[image.space_rank()]
-    r2 = float(radius) * float(radius)
-    q = params.level_count
-    last = params.dimension - 1
-    bounds = [cell_bounds(params, level) for level in range(q)]
-    # Per coordinate: (squared distance from the point, level), sorted.
-    candidates = []
-    for x in p1.coords:
-        entries = []
-        for level, (lo, hi, _) in enumerate(bounds):
-            d = lo - x if x < lo else x - hi if x > hi else 0.0
-            entries.append((d * d, level))
-        entries.sort()
-        candidates.append(entries)
-    leaf_candidates = candidates[last]
+    return walk.from_point(image, p1.coords, walk.labels[image.space_rank()],
+                           radius)
 
-    best_d2 = math.inf
-    best_rank = -1
-    cells_examined = 0
 
-    # ``head`` is the rank of the levels chosen above ``depth``, times q.
-    def visit(depth: int, partial: float, head: int):
-        nonlocal best_d2, best_rank, cells_examined
-        limit = r2 if r2 < best_d2 else best_d2
-        if depth == last:
-            for d2, level in leaf_candidates:
+class _CellWalk:
+    """The cell walk of one classifier: its label vector as a memoryview,
+    every level's cell bounds and the images built so far, made once per
+    search or per :func:`failure_rate` call."""
+
+    __slots__ = ("classifier", "params", "labels", "bounds", "images")
+
+    def __init__(self, classifier: ClassifierHandle, labels: np.ndarray):
+        self.classifier = classifier
+        self.params = params = classifier.params
+        self.labels = memoryview(labels)
+        self.bounds = [cell_bounds(params, level)
+                       for level in range(params.level_count)]
+        self.images: dict[int, ImageTensor] = {}
+
+    def image(self, rank: int) -> ImageTensor:
+        """``image_from_rank``, kept for later samples of the same walk
+        (at most ``_IMAGES_KEPT`` images)."""
+        image = self.images.get(rank)
+        if image is None:
+            image = image_from_rank(self.params, rank)
+            if len(self.images) < _IMAGES_KEPT:
+                self.images[rank] = image
+        return image
+
+    def from_point(self, image: ImageTensor, coords: Sequence[float],
+                   base_label: int, radius: float) -> PerturbationOutcome:
+        """Walk from the point ``coords`` of ``image``'s cell (see
+        :func:`find_perturbation`); the radius and caps are checked by the
+        caller."""
+        params, labels, bounds = self.params, self.labels, self.bounds
+        r2 = float(radius) * float(radius)
+        q = params.level_count
+        last = params.dimension - 1
+        # Per coordinate: (squared distance from the point, level), sorted.
+        candidates = []
+        for x in coords:
+            entries = []
+            for level, (lo, hi, _) in enumerate(bounds):
+                d = lo - x if x < lo else x - hi if x > hi else 0.0
+                entries.append((d * d, level))
+            entries.sort()
+            candidates.append(entries)
+        leaf_candidates = candidates[last]
+
+        best_d2 = math.inf
+        best_rank = -1
+        cells_examined = 0
+
+        # ``head`` is the rank of the levels chosen above ``depth``, times q.
+        def visit(depth: int, partial: float, head: int):
+            nonlocal best_d2, best_rank, cells_examined
+            limit = r2 if r2 < best_d2 else best_d2
+            if depth == last:
+                for d2, level in leaf_candidates:
+                    total = partial + d2
+                    if total > limit:
+                        break  # candidates are sorted; the rest are farther
+                    cells_examined += 1
+                    rank = head + level
+                    if labels[rank] != base_label and (
+                            total < best_d2
+                            or (total == best_d2 and rank < best_rank)):
+                        best_d2 = total
+                        best_rank = rank
+                        limit = r2 if r2 < best_d2 else best_d2
+                return
+            for d2, level in candidates[depth]:
                 total = partial + d2
                 if total > limit:
-                    break  # candidates are sorted; the rest are farther
-                cells_examined += 1
-                rank = head + level
-                if labels[rank] != base_label and (
-                        total < best_d2
-                        or (total == best_d2 and rank < best_rank)):
-                    best_d2 = total
-                    best_rank = rank
-                    limit = r2 if r2 < best_d2 else best_d2
-            return
-        for d2, level in candidates[depth]:
-            total = partial + d2
-            if total > limit:
-                break
-            visit(depth + 1, total, (head + level) * q)
-            limit = r2 if r2 < best_d2 else best_d2
+                    break
+                visit(depth + 1, total, (head + level) * q)
+                limit = r2 if r2 < best_d2 else best_d2
 
-    visit(0, 0.0, 0)
+        visit(0, 0.0, 0)
 
-    if best_rank < 0:
-        return PerturbationOutcome(result=None, l2_moved=0.0,
+        if best_rank < 0:
+            return PerturbationOutcome(result=None, l2_moved=0.0,
+                                       cells_examined=cells_examined)
+
+        result = self.image(best_rank)
+        p2 = []
+        for x, level in zip(coords, result.levels):
+            lo, hi, closed_top = bounds[level]
+            v = min(max(x, lo), hi)
+            if v == hi and not closed_top:
+                v = math.nextafter(hi, lo)  # keep the point inside the half-open cell
+            p2.append(v)
+        if self.classifier.decide(result) == base_label:
+            raise ContractViolation(f"cell {result.levels} changed its label")
+        if cell_of_point(params, p2).levels != result.levels:
+            raise ContractViolation(f"projected point left cell {result.levels}")
+
+        moved = float(norm_distance(image, result, 2))
+        # Both endpoints sit inside cells of diameter sqrt(n^2 h)/2^b, and the
+        # walk certified ||p1 - p2|| <= radius; the triangle inequality gives
+        # the image-space guarantee checked here.
+        if moved > float(radius) + 2 * cell_diameter(params) + 1e-9:
+            raise ContractViolation(f"moved {moved} beyond radius {radius}")
+        return PerturbationOutcome(result=result, l2_moved=moved,
                                    cells_examined=cells_examined)
-
-    result = image_from_rank(params, best_rank)
-    p2 = []
-    for x, level in zip(p1.coords, result.levels):
-        lo, hi, closed_top = bounds[level]
-        v = min(max(x, lo), hi)
-        if v == hi and not closed_top:
-            v = math.nextafter(hi, lo)  # keep the point inside the half-open cell
-        p2.append(v)
-    if classifier.decide(result) == base_label:
-        raise ContractViolation(f"cell {result.levels} changed its label")
-    if cell_of_point(params, p2).levels != result.levels:
-        raise ContractViolation(f"projected point left cell {result.levels}")
-
-    moved = float(norm_distance(image, result, 2))
-    # Both endpoints sit inside cells of diameter sqrt(n^2 h)/2^b, and the
-    # walk certified ||p1 - p2|| <= radius; the triangle inequality gives
-    # the image-space guarantee checked here.
-    if moved > float(radius) + 2 * cell_diameter(params) + 1e-9:
-        raise ContractViolation(f"moved {moved} beyond radius {radius}")
-    return PerturbationOutcome(result=result, l2_moved=moved,
-                               cells_examined=cells_examined)
 
 
 def nearest_cell_exhaustive(
@@ -302,41 +339,100 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
                  samples: int, seed: int) -> FailureRateReport:
     """Failure probability over uniform class members, with a Wilson CI.
 
-    Each sample derives its own RNG stream from (seed, index), so the
-    estimate is independent of evaluation order.
+    Sample ``index`` draws its member by rejection and its cell point from
+    the stream keyed by ``(seed, index)``: the draws equal those of
+    ``philox_rng(seed, index)`` fed to :func:`sample_uniform` until a
+    member is found and then to :func:`find_perturbation`, so the estimate
+    is independent of evaluation order.  The draws come from raw Philox
+    words computed for many indices at once (:func:`_class_draws`), and
+    each sample runs the walk of :func:`find_perturbation` from its point.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_radius(radius)
-    params = classifier.params
-    _check_caps(params)
-    labels = classifier.labels(DEFAULT_CELL_CAP)
-    if not (labels == label).any():
-        raise EmptyClass(f"label {label} has no members")
-    label_cache = {classifier: labels}
-    lookup = memoryview(labels)
-    q, dim = params.level_count, params.dimension
-    streams = philox_streams(seed)
+    _check_caps(classifier.params)
+    walk = _CellWalk(classifier, classifier.labels(DEFAULT_CELL_CAP))
     failures = 0
-    for index in range(samples):
-        rng = streams(index)
-        for attempt in range(MAX_REJECTIONS):
-            levels = rng.integers(0, q, size=dim).tolist()  # as sample_uniform
-            rank = 0
-            for v in levels:
-                rank = rank * q + v
-            if lookup[rank] == label:
-                break
-        else:
-            raise EmptyClass(
-                f"no member of label {label} after {MAX_REJECTIONS} draws")
-        outcome = find_perturbation(classifier, ImageTensor(params, levels),
-                                    radius, rng=rng, label_cache=label_cache)
-        if not outcome.succeeded:
+    for image, coords in _class_draws(walk, label, samples, seed):
+        if not walk.from_point(image, coords, label, radius).succeeded:
             failures += 1
     return FailureRateReport(radius=float(radius), samples=samples,
                              failures=failures, rate=failures / samples,
                              ci95=wilson_ci(failures, samples))
+
+
+def _class_draws(walk: _CellWalk, label: int, samples: int,
+                 seed: int) -> Iterator[tuple[ImageTensor, list[float]]]:
+    """``(member, cell point)`` of samples ``0 .. samples - 1``, decoded from
+    the raw words of the streams ``philox_rng(seed, index)``.
+
+    A rejection attempt reads ``dimension`` 32-bit halves, low half of each
+    word first, and level ``half >> (32 - b)``: that is
+    ``Generator.integers(0, 2^b)``, whose bounded draw never rejects because
+    2^b divides 2^32.  After the accepted attempt a left-over high half is
+    skipped, and coordinate ``i`` of the point is
+    ``lo + (hi - lo) * ((word >> 11) * 2^-53)`` of one whole word, that is
+    ``Generator.uniform(lo, hi)`` on the coordinate's cell.  Streams are
+    decoded a chunk at a time; a stream whose attempts run past its words
+    gets the next words.  Raises :class:`EmptyClass`, after yielding every
+    earlier sample, at the first stream with no member in
+    ``MAX_REJECTIONS`` attempts.
+    """
+    labels = np.asarray(walk.labels)
+    members = int(np.count_nonzero(labels == label))
+    if not members:
+        raise EmptyClass(f"label {label} has no members")
+    params = walk.params
+    dim, shift = params.dimension, 32 - params.b
+    weights = params.level_count ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    lo = np.array([lo for lo, _, _ in walk.bounds])
+    width = np.array([hi for _, hi, _ in walk.bounds]) - lo
+    # attempts per stream in the first window: about four expected
+    # rejection runs; later windows double, within the word budget
+    first = min(MAX_REJECTIONS, 4 * params.total_images // members + 1)
+    most = max(1, 2 * (_DRAW_WORDS - dim - 2) // dim)
+    for begin in range(0, samples, _DRAW_STREAMS):
+        indices = np.arange(begin, min(samples, begin + _DRAW_STREAMS),
+                            dtype=np.uint64)
+        ranks = np.empty(len(indices), dtype=np.int64)
+        coords = np.empty((len(indices), dim))
+        pending = np.arange(len(indices))
+        attempt, window = 0, first
+        while len(pending) and attempt < MAX_REJECTIONS:
+            window = min(window, most, MAX_REJECTIONS - attempt)
+            w0 = attempt * dim // 2
+            h0 = attempt * dim - 2 * w0
+            count = ((attempt + window) * dim + 1) // 2 + dim - w0
+            per = max(1, _DRAW_WORDS // count)
+            left = []
+            for at in range(0, len(pending), per):
+                rows = pending[at:at + per]
+                words = philox_words(seed, indices[rows], count, w0)
+                halves = words.astype("<u8", copy=False).view("<u4")
+                tried = (halves[:, h0:h0 + window * dim] >> shift).reshape(
+                    len(rows), window, dim)
+                tried_ranks = tried @ weights
+                hit = labels[tried_ranks] == label
+                found = np.flatnonzero(hit.any(axis=1))
+                accepted = hit[found].argmax(axis=1)
+                chosen = tried[found, accepted]
+                # the point's words follow the accepted attempt's last half
+                point_at = ((attempt + accepted + 1) * dim + 1) // 2 - w0
+                point = words[found[:, None], point_at[:, None] + np.arange(dim)]
+                ranks[rows[found]] = tried_ranks[found, accepted]
+                coords[rows[found]] = lo[chosen] + width[chosen] * (
+                    (point >> 11) * 2.0 ** -53)
+                left.append(np.delete(rows, found))
+            pending = np.concatenate(left)
+            attempt += window
+            window *= 2
+        stop = int(pending[0]) if len(pending) else len(indices)
+        for rank, point in zip(ranks[:stop].tolist(), coords[:stop].tolist()):
+            yield walk.image(rank), point
+        if stop < len(indices):
+            raise EmptyClass(
+                f"no member of label {label} after {MAX_REJECTIONS} draws "
+                f"of stream ({seed}, {begin + stop})")
 
 
 def _search_result(params: SpaceParams, p: int, pow_sum: int,

@@ -16,8 +16,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exactmath, gaussian, hamming, perturb, robustness
-from .classifiers import ClassifierHandle, random_classifier, sum_classifier
-from .errors import ContractViolation
+from .classifiers import (
+    ClassifierHandle,
+    parse_classifier_spec,
+    random_classifier,
+    sum_classifier,
+)
 from .exactmath import DiscretePMF
 from .image_space import (
     PerturbationBudget,
@@ -559,6 +563,14 @@ def suite_theorem2(cfg: VerifyConfig) -> SuiteReport:
     return SuiteReport("theorem2", tuple(checks))
 
 
+# walk-equals-oracle: (shape, classifier spec) cases, draws and radii; at
+# these radii 1-35 % of the walks fail
+WALK_ORACLE_CASES = (((2, 1, 2), "sum"), ((3, 1, 1), "linthresh:0"),
+                     ((1, 3, 1), "sum"))
+WALK_ORACLE_SAMPLES = 500
+WALK_ORACLE_RADII = (0.25, 0.5)
+
+
 def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     params = SpaceParams(2, 1, 2)
@@ -578,18 +590,17 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
             points.append(perturb.sample_point_in_cell(
                 member, points_rng(index * len(radii) + at)))
     nearest = perturb.nearest_cell_exhaustive(classifier, points, 0)
-    label_cache: dict = {}
+    walk = perturb._CellWalk(classifier,
+                             classifier.labels(perturb.DEFAULT_CELL_CAP))
     contract_bad = None
     worst = math.inf
     top = params.max_level
     for index, member in enumerate(members):
+        base_label = walk.labels[member.space_rank()]
         for at, radius in enumerate(radii):
             point = points[index * len(radii) + at]
             oracle_d2, _ = nearest[index * len(radii) + at]
-            replay = _ReplayRng(point.coords)
-            outcome = perturb.find_perturbation(classifier, member, radius,
-                                                rng=replay,
-                                                label_cache=label_cache)
+            outcome = walk.from_point(member, point.coords, base_label, radius)
             expect_success = oracle_d2 <= radius * radius
             if outcome.succeeded != expect_success:
                 contract_bad = (index, radius, "completeness")
@@ -610,6 +621,37 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
         "300 seeded members, radii (1.5, 2.0): success iff a different-class "
         "cell intersects the ball; exact length bound"
         + (f"; failed {contract_bad}" if contract_bad else "")))
+
+    # The same completeness on failure_rate's own draws, at radii where
+    # walks fail: each sample's success must be the oracle's, exactly.
+    mismatch = None
+    failures = []  # per case: its failure counts at each radius
+    for shape, spec in WALK_ORACLE_CASES:
+        case = parse_classifier_spec(spec, SpaceParams(*shape))
+        case_walk = perturb._CellWalk(case,
+                                      case.labels(perturb.DEFAULT_CELL_CAP))
+        draws = list(perturb._class_draws(case_walk, 0, WALK_ORACLE_SAMPLES,
+                                          cfg.seed))
+        nearest = perturb.nearest_cell_exhaustive(
+            case, [perturb.ContinuousPoint(point) for _, point in draws], 0)
+        failed = [0] * len(WALK_ORACLE_RADII)
+        for index, ((member, point), (oracle_d2, _)) in enumerate(
+                zip(draws, nearest)):
+            for at, radius in enumerate(WALK_ORACLE_RADII):
+                succeeded = case_walk.from_point(member, point, 0,
+                                                 radius).succeeded
+                failed[at] += not succeeded
+                if mismatch is None and succeeded != (
+                        oracle_d2 <= radius * radius):
+                    mismatch = (shape, spec, radius, index)
+        failures.append(f"{shape} {spec} {', '.join(map(str, failed))}")
+    checks.append(CheckResult(
+        "theorem3/walk-equals-oracle", mismatch is None, None,
+        f"{WALK_ORACLE_SAMPLES} failure_rate draws per case, radii "
+        f"{WALK_ORACLE_RADII}: walk success iff the oracle's nearest "
+        "different-class cell is within the radius; failures "
+        + "; ".join(failures)
+        + (f"; mismatch {mismatch}" if mismatch else "")))
 
     for radius in radii:
         report = perturb.failure_rate(classifier, 0, radius, cfg.samples,
@@ -659,21 +701,6 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
         + (f"; violated at {bad}" if bad else "")))
 
     return SuiteReport("theorem3", tuple(checks))
-
-
-class _ReplayRng:
-    """Replays fixed cell coordinates into the walk's point sampler."""
-
-    def __init__(self, coords):
-        self._values = list(coords)
-        self._at = 0
-
-    def uniform(self, lo, hi):
-        v = self._values[self._at]
-        self._at += 1
-        if not lo <= v <= hi:
-            raise ContractViolation(f"replayed {v} outside [{lo}, {hi}]")
-        return v
 
 
 def classifier_zoo(params: SpaceParams) -> list[ClassifierHandle]:

@@ -142,6 +142,11 @@ THEOREM3_PINNED = [
     ("theorem3/walk-contracts-(2,1,2)", "1.4459074466105402",
      "300 seeded members, radii (1.5, 2.0): success iff a different-class "
      "cell intersects the ball; exact length bound"),
+    ("theorem3/walk-equals-oracle", "None",
+     "500 failure_rate draws per case, radii (0.25, 0.5): walk success iff "
+     "the oracle's nearest different-class cell is within the radius; "
+     "failures (2, 1, 2) sum 81, 6; (3, 1, 1) linthresh:0 122, 4; "
+     "(1, 3, 1) sum 171, 6"),
     ("theorem3/failure-rate-r1.5", "0.6689209363460229",
      "0/10000 failures, CI (0.0000, 0.0004), bound 0.6693"),
     ("theorem3/failure-rate-r2.0", "0.2902865681025488",

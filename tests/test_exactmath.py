@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -381,6 +382,37 @@ class TestSweepsAgainstOracles:
         # U_{3,1/2}(1) = 1/2: the one admissible query is k = 1, r = 1,
         # with ratio U(0)/U(1) = 1/4 against the bound 2
         assert em.hoeffding_sweep_violations(3, [HALF]) == ([], 1.75)
+
+    def test_acceptance_sweep_certifies_nothing(self, monkeypatch):
+        # every float margin of the suite's sweep clears 1e-9 of its bound
+        calls = []
+        certify = em.compare_scaled_exp
+        monkeypatch.setattr(em, "compare_scaled_exp",
+                            lambda *args: calls.append(args) or certify(*args))
+        got = em.hoeffding_sweep_violations(
+            64, [Fraction(1, 4), HALF, Fraction(3, 4)])
+        assert got == ([], 3.8309579032561554e-29)
+        assert calls == []
+
+    def test_faulty_bound_violations_like_oracle(self, monkeypatch):
+        # a bound three halves as steep in its exponent is violated
+        monkeypatch.setattr(em, "hoeffding_exponent",
+                            lambda n, k: Fraction(-3 * (k - 1) ** 2, n))
+        grid = [Fraction(1, 4), HALF, Fraction(3, 4)]
+        got = em.hoeffding_sweep_violations(24, grid)
+        assert got[0] and got == hoeffding_sweep_oracle(24, grid,
+                                                        tail_table_oracle)
+
+    def test_float_bound_within_two_to_minus_45(self):
+        # the relative error the sweep's guard band rests on, for n <= 64
+        with mpmath.workdps(40):
+            for n in range(2, 65):
+                for k in range(1, n):
+                    exponent = em.hoeffding_exponent(n, k)
+                    exact = 2 * mpmath.exp(mpmath.mpf(exponent.numerator)
+                                           / exponent.denominator)
+                    bound = 2.0 * math.exp(-2 * (k - 1) ** 2 / n)
+                    assert abs(bound - exact) <= exact * 2.0 ** -45, (n, k)
 
     def test_violations_found_like_oracle(self, monkeypatch):
         monkeypatch.setattr(em, "tail_table", scrambled_table)

@@ -1,0 +1,180 @@
+"""``failure_rate``'s batch draws against the per-stream generator loop.
+
+``failure_rate_oracle`` is the earlier ``failure_rate`` kept as the oracle:
+one ``philox_streams`` generator per sample, rejection draws by
+``Generator.integers(0, q, size=dim)`` and one ``find_perturbation`` per
+member.  The batch path decodes raw Philox words instead
+(``perturb._class_draws``) and must give every sample the same member,
+cell point and outcome.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from robustness_envelope import perturb as pt
+from robustness_envelope import image_space
+from robustness_envelope.classifiers import (
+    ClassifierHandle,
+    parse_classifier_spec,
+    sum_classifier,
+)
+from robustness_envelope.errors import EmptyClass
+from robustness_envelope.image_space import (
+    ImageTensor,
+    SpaceParams,
+    philox_rng,
+    philox_streams,
+)
+
+
+def failure_rate_oracle(classifier, label, radius, samples, seed,
+                        max_rejections=image_space.MAX_REJECTIONS):
+    """Per sample ``(member, outcome)``; raises ``EmptyClass`` naming the
+    first stream with no member in ``max_rejections`` draws."""
+    params = classifier.params
+    q, dim = params.level_count, params.dimension
+    label_cache = {}
+    streams = philox_streams(seed)
+    out = []
+    for index in range(samples):
+        rng = streams(index)
+        for _ in range(max_rejections):
+            levels = rng.integers(0, q, size=dim).tolist()
+            if classifier.decide(ImageTensor(params, levels)) == label:
+                break
+        else:
+            raise EmptyClass(f"stream ({seed}, {index})")
+        member = ImageTensor(params, levels)
+        out.append((member, pt.find_perturbation(classifier, member, radius,
+                                                 rng=rng,
+                                                 label_cache=label_cache)))
+    return out
+
+
+def batch_outcomes(classifier, label, radius, samples, seed):
+    walk = pt._CellWalk(classifier, classifier.labels())
+    return [(member, walk.from_point(member, point, label, radius))
+            for member, point in pt._class_draws(walk, label, samples, seed)]
+
+
+def reference_draws(classifier, label, samples, seed):
+    """Per sample ``(member levels, cell point)`` from ``philox_rng``."""
+    params = classifier.params
+    out = []
+    for index in range(samples):
+        rng = philox_rng(seed, index)
+        while True:
+            member = image_space.sample_uniform(params, 0, rng=rng)
+            if classifier.decide(member) == label:
+                break
+        out.append((member.levels,
+                    list(pt.sample_point_in_cell(member, rng).coords)))
+    return out
+
+
+def rare_classifier(params, members):
+    """Label 0 on the ranks ``members`` only, label 1 elsewhere."""
+    labels = np.ones(params.total_images, dtype=np.uint8)
+    labels[list(members)] = 0
+    return ClassifierHandle(
+        params=params, label_count=2, kind="rare", spec="rare",
+        decide=lambda image: int(labels[image.space_rank()]),
+        batch=lambda: labels.copy())
+
+
+class TestDecoding:
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_one_coordinate_every_depth(self, b):
+        # dim 1 is odd: every accepted attempt leaves a high half unread
+        classifier = sum_classifier(SpaceParams(1, 1, b))
+        walk = pt._CellWalk(classifier, classifier.labels())
+        for label in (0, 1):
+            got = [(member.levels, point) for member, point
+                   in pt._class_draws(walk, label, 200, 5 + b)]
+            assert got == reference_draws(classifier, label, 200, 5 + b)
+
+    @pytest.mark.parametrize("shape,spec", [
+        ((3, 1, 1), "sum"), ((1, 3, 1), "sum"), ((3, 1, 1), "linthresh:0"),
+        ((2, 1, 2), "balanced:4"), ((2, 1, 3), "sum"), ((1, 2, 4), "sum"),
+        ((1, 1, 16), "sum"),
+    ])
+    def test_members_and_points(self, shape, spec):
+        classifier = parse_classifier_spec(spec, SpaceParams(*shape))
+        walk = pt._CellWalk(classifier, classifier.labels())
+        for label in (0, 1):
+            got = [(member.levels, point) for member, point
+                   in pt._class_draws(walk, label, 300, 21)]
+            assert got == reference_draws(classifier, label, 300, 21)
+
+    def test_chunks_and_windows(self, monkeypatch):
+        # a small word budget forces one attempt per window and windows of
+        # a few streams; a small chunk splits the samples
+        classifier = parse_classifier_spec("linthresh:0", SpaceParams(3, 1, 1))
+        want = reference_draws(classifier, 0, 150, 8)
+        monkeypatch.setattr(pt, "_DRAW_WORDS", 16)
+        monkeypatch.setattr(pt, "_DRAW_STREAMS", 7)
+        walk = pt._CellWalk(classifier, classifier.labels())
+        got = [(member.levels, point) for member, point
+               in pt._class_draws(walk, 0, 150, 8)]
+        assert got == want
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("shape,spec", [
+        ((2, 1, 2), "sum"), ((3, 1, 1), "linthresh:1"), ((1, 3, 1), "sum"),
+        ((2, 1, 3), "balanced:2"),
+    ])
+    def test_per_sample_outcomes(self, shape, spec):
+        classifier = parse_classifier_spec(spec, SpaceParams(*shape))
+        for radius in (0.25, 0.5, 1.0, 1.5):
+            want = failure_rate_oracle(classifier, 0, radius, 150, 3)
+            assert batch_outcomes(classifier, 0, radius, 150, 3) == want
+            report = pt.failure_rate(classifier, 0, radius, 150, 3)
+            assert report.failures == sum(not outcome.succeeded
+                                          for _, outcome in want)
+
+    def test_rare_class_needs_more_words(self):
+        # 2 members of 256: about 128 draws a member, and the first window
+        # of 513 attempts runs out on a few streams
+        params = SpaceParams(2, 1, 2)
+        classifier = rare_classifier(params, (37, 200))
+        want = failure_rate_oracle(classifier, 0, 1.0, 160, 12)
+        assert batch_outcomes(classifier, 0, 1.0, 160, 12) == want
+
+    def test_rare_class_across_small_windows(self, monkeypatch):
+        params = SpaceParams(2, 1, 2)
+        classifier = rare_classifier(params, (3, 77, 150))
+        want = failure_rate_oracle(classifier, 0, 0.5, 40, 2)
+        monkeypatch.setattr(pt, "_DRAW_WORDS", 40)
+        monkeypatch.setattr(pt, "_DRAW_STREAMS", 9)
+        assert batch_outcomes(classifier, 0, 0.5, 40, 2) == want
+
+
+class TestRejectionLimit:
+    @pytest.mark.parametrize("chunk", [1 << 12, 3])
+    def test_empty_class_at_the_oracle_stream(self, monkeypatch, chunk):
+        # 8 members of 256 and 40 draws: about 28 % of streams find none;
+        # at seed 1 stream 11 is the first, in the fourth chunk of 3
+        params = SpaceParams(2, 1, 2)
+        classifier = rare_classifier(params, range(0, 256, 32))
+        with pytest.raises(EmptyClass, match=r"stream \(1, 11\)"):
+            failure_rate_oracle(classifier, 0, 1.0, 50, 1, max_rejections=40)
+        monkeypatch.setattr(pt, "MAX_REJECTIONS", 40)
+        monkeypatch.setattr(pt, "_DRAW_STREAMS", chunk)
+        with pytest.raises(EmptyClass,
+                           match=r"after 40 draws of stream \(1, 11\)$"):
+            pt.failure_rate(classifier, 0, 1.0, 50, 1)
+
+    def test_earlier_samples_come_first(self, monkeypatch):
+        params = SpaceParams(2, 1, 2)
+        classifier = rare_classifier(params, range(0, 256, 32))
+        want = reference_draws(classifier, 0, 11, 1)
+        monkeypatch.setattr(pt, "MAX_REJECTIONS", 40)
+        walk = pt._CellWalk(classifier, classifier.labels())
+        draws = pt._class_draws(walk, 0, 50, 1)
+        assert [(member.levels, point)
+                for member, point in itertools.islice(draws, 11)] == want
+        with pytest.raises(EmptyClass):
+            next(draws)

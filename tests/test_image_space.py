@@ -173,8 +173,8 @@ def stream_draws(rng):
 
 class TestPhiloxStreams:
     def test_equal_to_philox_rng_on_every_drawn_stream(self):
-        # indices 0..19999 at seed 7 cover both failure-rate checks; the
-        # second seed holds the 600 point streams of the walk contracts
+        # indices 0..19999 at seed 7 cover the walk contracts' 300 member
+        # streams; the second seed holds their 600 point streams
         for seed, count in ((7, 20_000), (7 ^ 0x5EED, 600)):
             streams = isp.philox_streams(seed)
             for index in range(count):
@@ -188,6 +188,62 @@ class TestPhiloxStreams:
         big = (1 << 64) + 9  # keys wrap modulo 2^64, as in philox_rng
         assert stream_draws(isp.philox_streams(big)(big)) == \
             stream_draws(isp.philox_rng(big, big))
+
+
+def raw_words(seed, index, count, start=0):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
+                   dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(start + count)[start:]
+
+
+class TestPhiloxWords:
+    def test_every_failure_rate_stream_of_seed_7(self):
+        # theorem3's two failure-rate checks read indices 0..9999 twice;
+        # 0..19999 covers them and a margin beyond
+        got = isp.philox_words(7, np.arange(20_000), 8)
+        assert got.dtype == np.uint64 and got.shape == (20_000, 8)
+        for index in range(20_000):
+            assert (got[index] == raw_words(7, index, 8)).all(), index
+
+    def test_seed_0_and_keys_at_or_above_2_63(self):
+        top = (1 << 64) - 1
+        indices = [0, 1, 5, 1 << 63, (1 << 63) + 1, top - 1, top]
+        for seed in (0, 1 << 63, (1 << 63) + 12345, top):
+            got = isp.philox_words(seed, indices, 13)
+            for row, index in zip(got, indices):
+                assert (row == raw_words(seed, index, 13)).all(), (seed, index)
+
+    def test_python_ints_wrap_like_philox_rng(self):
+        big = (1 << 64) + 9
+        assert (isp.philox_words(big, [big, -1], 4)
+                == [raw_words(big, big, 4), raw_words(big, -1, 4)]).all()
+        # an int64 array wraps -1 to 2^64 - 1, as the key mask does
+        assert (isp.philox_words(3, np.array([-1, 2]), 4)
+                == isp.philox_words(3, [(1 << 64) - 1, 2], 4)).all()
+
+    def test_windows_start_anywhere(self):
+        indices = [0, 3, 1 << 40]
+        for start in range(0, 10):
+            for count in (1, 2, 3, 4, 5, 9):
+                got = isp.philox_words(11, indices, count, start)
+                assert got.shape == (3, count)
+                for row, index in zip(got, indices):
+                    assert (row == raw_words(11, index, count, start)).all()
+        # a block counter above 2^32 fills the high half of the multiply
+        start = 4 << 32
+        assert (isp.philox_words(11, [2], 6, start - 2)[0]
+                == _philox_at(11, 2, start - 2, 6)).all()
+
+    def test_no_streams(self):
+        assert isp.philox_words(1, [], 4).shape == (0, 4)
+
+
+def _philox_at(seed, index, start, count):
+    """Words ``start ..`` of one stream, by advancing numpy's Philox."""
+    bit_generator = np.random.Philox(key=np.array([seed, index],
+                                                  dtype=np.uint64))
+    bit_generator.advance(start // 4)
+    return bit_generator.random_raw(start % 4 + count)[start % 4:]
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from robustness_envelope import cli, exactmath, verify
+from robustness_envelope import cli, exactmath, perturb, verify
 from robustness_envelope import hamming as hm
 from robustness_envelope.image_space import philox_rng
 
@@ -313,3 +313,40 @@ class TestAnticoncSpotCheck:
                   verify.suite_anticonc(verify.VerifyConfig()).checks}
         assert checks["anticonc/binomial-spread"].passed
         assert not checks["anticonc/operation-spot-check"].passed
+
+
+# --- theorem3 ------------------------------------------------------------------
+
+class TestWalkEqualsOracle:
+    CFG = verify.VerifyConfig(samples=100)
+
+    def checks(self):
+        return {c.check_id: c for c in verify.suite_theorem3(self.CFG).checks}
+
+    def test_incomplete_walk_fails_only_this_check(self, monkeypatch):
+        # a walk that gives up after ten cells at radius 0.5
+        walk = perturb._CellWalk.from_point
+
+        def gives_up(self, image, coords, base_label, radius):
+            outcome = walk(self, image, coords, base_label, radius)
+            if radius == 0.5 and outcome.cells_examined > 10:
+                return perturb.PerturbationOutcome(None, 0.0,
+                                                   outcome.cells_examined)
+            return outcome
+
+        monkeypatch.setattr(perturb._CellWalk, "from_point", gives_up)
+        checks = self.checks()
+        failed = [check_id for check_id, c in checks.items() if not c.passed]
+        assert failed == ["theorem3/walk-equals-oracle"]
+        detail = checks["theorem3/walk-equals-oracle"].detail
+        assert "; mismatch ((2, 1, 2), 'sum', 0.5, " in detail
+
+    def test_oracle_disagreeing_fails(self, monkeypatch):
+        oracle = perturb.nearest_cell_exhaustive
+        monkeypatch.setattr(
+            perturb, "nearest_cell_exhaustive",
+            lambda classifier, points, base_label: [
+                (d2 + 0.01, cell) for d2, cell in
+                oracle(classifier, points, base_label)])
+        check = self.checks()["theorem3/walk-equals-oracle"]
+        assert not check.passed and "; mismatch (" in check.detail

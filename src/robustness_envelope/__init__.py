@@ -25,7 +25,6 @@ from .classifiers import (
 )
 from .exactmath import (
     DiscretePMF,
-    ExactRational,
     anti_concentration_holds,
     binom,
     binomial_spread_holds,

@@ -44,22 +44,23 @@ class ClassifierHandle:
     spec: str
     batch: Optional[Callable[[], np.ndarray]] = None
 
-    def labels(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    def labels(self) -> np.ndarray:
         """The label of every image, indexed by rank, in the smallest
         unsigned dtype that holds ``label_count - 1``.
 
         Uses ``batch`` when the handle has one, else one ``decide`` per
-        image.
+        image; spaces beyond ``DEFAULT_ENUMERATION_CAP`` images raise
+        :class:`SpaceTooLarge`.
         """
         params = self.params
-        if params.total_images > cap:
-            raise SpaceTooLarge(
-                f"space holds {params.total_images} images, cap is {cap}")
+        if params.total_images > DEFAULT_ENUMERATION_CAP:
+            raise SpaceTooLarge(f"space holds {params.total_images} images, "
+                                f"cap is {DEFAULT_ENUMERATION_CAP}")
         if self.batch is not None:
             labels = self.batch()
         else:
             labels = np.fromiter(
-                (self.decide(image) for image in enumerate_space(params, cap)),
+                (self.decide(image) for image in enumerate_space(params)),
                 dtype=np.int64, count=params.total_images)
         if labels.size and not (0 <= labels.min()
                                 and labels.max() < self.label_count):
@@ -128,20 +129,17 @@ def sum_class0_max_level_sum(params: SpaceParams) -> int:
     return (params.dimension * params.max_level - 1) // 2
 
 
-def class_sizes(classifier: ClassifierHandle, mode: str = "exhaustive",
-                cap: int = DEFAULT_ENUMERATION_CAP) -> List[ClassSummary]:
-    """Exact class counts, by full enumeration or (sum only) analytically.
+def class_sizes(classifier: ClassifierHandle,
+                mode: str = "exhaustive") -> List[ClassSummary]:
+    """Exact class counts, from the label vector or (sum only) analytically.
 
     The analytic path counts class 0 through the exact level-sum PMF and
     is available only for the sum classifier.
     """
     params = classifier.params
     if mode == "exhaustive":
-        counts = [0] * classifier.label_count
-        for image in enumerate_space(params, cap):
-            counts[classifier.decide(image)] += 1
-        if sum(counts) != params.total_images:
-            raise ContractViolation(f"class counts sum to {sum(counts)}")
+        counts = np.bincount(classifier.labels(),
+                             minlength=classifier.label_count).tolist()
     elif mode == "analytic":
         if classifier.kind != "sum":
             raise AnalyticUnavailable(

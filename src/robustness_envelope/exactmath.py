@@ -29,12 +29,11 @@ from .errors import (
     ZeroDenominator,
 )
 
-# Exact probabilities are plain Fractions; the alias documents intent.
-ExactRational = Fraction
-
 DEFAULT_SUPPORT_CAP = 1 << 24
 # log gap below which mode_bound_sweep settles the bound with exact integers
 MODE_GAP_GUARD = 1e-6
+# decimal digits at which compare_scaled_exp gives up
+MAX_DPS = 240
 
 
 def binom(n: int, k: int) -> int:
@@ -127,8 +126,8 @@ def tail_ratio(n: int, k: int, p: Fraction, x: int) -> Fraction:
     return table.cdf_at(x - k) / denominator
 
 
-def compare_scaled_exp(lhs: Fraction, coeff: Fraction, exponent: Fraction,
-                       max_dps: int = 240) -> int:
+def compare_scaled_exp(lhs: Fraction, coeff: Fraction,
+                       exponent: Fraction) -> int:
     """Certified comparison of a rational ``lhs`` against ``coeff * e^exponent``.
 
     Returns -1, 0 or +1 for less / equal / greater.  The transcendental
@@ -145,7 +144,7 @@ def compare_scaled_exp(lhs: Fraction, coeff: Fraction, exponent: Fraction,
     if lhs <= 0 < coeff:
         return -1
     dps = 30
-    while dps <= max_dps:
+    while dps <= MAX_DPS:
         with mpmath.workdps(dps):
             rhs = (mpmath.mpf(coeff.numerator) / coeff.denominator
                    * mpmath.exp(mpmath.mpf(exponent.numerator) / exponent.denominator))
@@ -157,7 +156,7 @@ def compare_scaled_exp(lhs: Fraction, coeff: Fraction, exponent: Fraction,
                 return 1
         dps *= 2
     raise PrecisionInsufficient(
-        f"could not separate {lhs} from {coeff}*exp({exponent}) at {max_dps} digits")
+        f"could not separate {lhs} from {coeff}*exp({exponent}) at {MAX_DPS} digits")
 
 
 def hoeffding_exponent(n: int, k: int) -> Fraction:

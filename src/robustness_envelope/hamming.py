@@ -26,6 +26,8 @@ from . import exactmath
 from .errors import NotInterestingSubset, SpaceTooLarge
 
 MAX_MATERIALIZED_VERTICES = 1 << 26
+# slack of the Harper expansion bound for the root solver's error
+HARPER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -336,11 +338,13 @@ class HarperCheck:
     holds: bool
 
 
-def harper_check(s: HammingSubset, k: int, tol: float = 1e-9) -> HarperCheck:
-    """Check ``|Exp^k(S)|/q^n >= rhs - tol`` against the tail-based bound.
+def harper_check(s: HammingSubset, k: int) -> HarperCheck:
+    """Check ``|Exp^k(S)|/q^n >= rhs - HARPER_TOL`` against the tail-based
+    bound.
 
     ``rhs`` minimizes the binomial tail over integer shell parameters (see
-    :func:`exactmath.harper_rhs`); ``tol`` absorbs the root-solver error.
+    :func:`exactmath.harper_rhs`); ``HARPER_TOL`` absorbs the root-solver
+    error.
     """
     count = s.graph.vertex_count
     if s.size < 1 or s.size >= count:
@@ -349,7 +353,7 @@ def harper_check(s: HammingSubset, k: int, tol: float = 1e-9) -> HarperCheck:
         raise ValueError(f"need 1 <= k < dims, got k={k}")
     expanded = expand_k(s, k)
     lhs = Fraction(expanded.size, count)
-    rhs = exactmath.harper_rhs(s.graph.dims, k, Fraction(s.size, count),
-                               Fraction(tol))
+    tol = Fraction(HARPER_TOL)
+    rhs = exactmath.harper_rhs(s.graph.dims, k, Fraction(s.size, count), tol)
     return HarperCheck(subset_size=s.size, k=k, expansion_fraction=lhs,
-                       lower_bound=rhs, holds=lhs >= rhs - Fraction(tol))
+                       lower_bound=rhs, holds=lhs >= rhs - tol)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +98,8 @@ class PerturbationBudget:
 
     ``size_pow`` optionally carries the exact p-th power of the size so
     irrational budgets like ``d**(1/p)`` compare exactly against exact
-    norm powers.
+    norm powers.  The size must be finite and neither it nor ``size_pow``
+    negative, so every level threshold is a nonnegative integer.
     """
 
     p: int
@@ -108,8 +109,12 @@ class PerturbationBudget:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
+        if isinstance(self.size, float) and not math.isfinite(self.size):
+            raise ValueError(f"size must be finite, got {self.size}")
         if self.size < 0:
             raise ValueError(f"size must be >= 0, got {self.size}")
+        if self.size_pow is not None and self.size_pow < 0:
+            raise ValueError(f"size_pow must be >= 0, got {self.size_pow}")
 
     def exact_size_pow(self) -> Fraction:
         """Exact p-th power of the budget size (p >= 1)."""
@@ -191,33 +196,6 @@ def philox_rng(seed: int, index: int = 0) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """``index -> philox_rng(seed, index)`` over one re-keyed generator.
-
-    Each call sets the one Philox bit generator to the state a fresh
-    ``Philox(key=(seed, index))`` starts in (counter 0, empty buffer, no
-    buffered 32-bit half) and returns the same :class:`numpy.random.Generator`,
-    so a stream is valid until the next call.  The draws equal
-    :func:`philox_rng`'s, which stays the reference.
-    """
-    seed &= 0xFFFFFFFFFFFFFFFF
-    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    generator = np.random.Generator(bit_generator)
-
-    def stream(index: int) -> np.random.Generator:
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([seed, index & 0xFFFFFFFFFFFFFFFF],
-                                      dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return generator
-
-    return stream
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,

@@ -46,7 +46,6 @@ from .image_space import (
 from .mcstats import wilson_ci
 
 DEFAULT_DIMENSION_CAP = 12
-DEFAULT_CELL_CAP = 1 << 20
 # cell distances the full-enumeration oracle holds at once: 32 points of a
 # 256-cell space
 _ORACLE_CHUNK_CELLS = 1 << 13
@@ -133,13 +132,19 @@ def _check_radius(radius: float) -> None:
         raise ValueError(f"radius must be >= 0, got {radius}")
 
 
+def _check_norm(p: int) -> None:
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
+
+
 def _check_caps(params: SpaceParams) -> None:
     if params.dimension > DEFAULT_DIMENSION_CAP:
         raise DimensionTooLarge(
             f"dimension {params.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    if params.total_images > DEFAULT_CELL_CAP:
+    if params.total_images > DEFAULT_ENUMERATION_CAP:
+        # a space has as many cells as images
         raise EnumerationCapExceeded(
-            f"{params.total_images} cells exceed cap {DEFAULT_CELL_CAP}")
+            f"{params.total_images} cells exceed cap {DEFAULT_ENUMERATION_CAP}")
 
 
 def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
@@ -170,7 +175,7 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
         label_cache = {}
     labels = label_cache.get(classifier)
     if labels is None:
-        labels = label_cache[classifier] = classifier.labels(DEFAULT_CELL_CAP)
+        labels = label_cache[classifier] = classifier.labels()
     walk = _CellWalk(classifier, labels)
     p1 = sample_point_in_cell(image, rng)
     return walk.from_point(image, p1.coords, walk.labels[image.space_rank()],
@@ -351,7 +356,7 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_radius(radius)
     _check_caps(classifier.params)
-    walk = _CellWalk(classifier, classifier.labels(DEFAULT_CELL_CAP))
+    walk = _CellWalk(classifier, classifier.labels())
     failures = 0
     for image, coords in _class_draws(walk, label, samples, seed):
         if not walk.from_point(image, coords, label, radius).succeeded:
@@ -456,6 +461,7 @@ def minimal_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     so no float tie can pick a wrong witness; the scan stops early once
     the smallest possible nonzero value is reached.
     """
+    _check_norm(p)
     params = image.params
     if params.total_images > cap:
         raise SpaceTooLarge(f"space holds {params.total_images} images")
@@ -484,6 +490,7 @@ def attack_sum_classifier(image: ImageTensor, p: int) -> PerturbationSearchResul
     minimizes any convex power.  Agreement with the exhaustive oracle is
     part of the test suite.
     """
+    _check_norm(p)
     params = image.params
     doubled_max = params.dimension * params.max_level
     first_one_sum = (doubled_max + 1) // 2  # smallest level sum labeled 1

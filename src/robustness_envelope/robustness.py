@@ -6,7 +6,7 @@ Three routes to the same quantities, used to check each other:
   and one cost-layered expansion for every norm; the dense matrix
   (:func:`robust_flags_by_matrix`) and per-image scans are its oracles,
 * analytic exact fractions for the sum classifier via its level-sum PMF,
-  whose integer counts also drive the conditional class sampler,
+  whose integer counts also draw uniform class members without rejection,
 * Monte Carlo estimation with Wilson intervals for anything larger.
 
 All budget comparisons reduce to integers: a p-norm budget turns into a
@@ -98,21 +98,15 @@ class RobustnessReport:
         return [d[k] if d[k] is not None else "" for k in CSV_HEADER]
 
 
-@lru_cache(maxsize=8)
-def space_images(params: SpaceParams) -> tuple[ImageTensor, ...]:
-    """All images of a small space, in lexicographic (rank) order."""
-    return tuple(enumerate_space(params, MATRIX_CAP))
-
-
 @lru_cache(maxsize=5)  # p = 0..4 of one space: 160 MiB at MATRIX_CAP
 def _diff_pow_matrix(params: SpaceParams, p: int) -> np.ndarray:
     """Pairwise ``sum |delta_level|^p`` (count for p = 0) as int64."""
     if params.dimension * params.max_level ** p >= 2 ** 63:
         raise PreconditionViolated(
             f"level distances at p = {p} overflow int64 in {params}")
-    images = space_images(params)
-    levels = np.array([img.levels for img in images], dtype=np.int64)
-    n = len(images)
+    levels = np.array([img.levels for img in enumerate_space(params, MATRIX_CAP)],
+                      dtype=np.int64)
+    n = len(levels)
     out = np.empty((n, n), dtype=np.int64)
     for i in range(n):
         diff = np.abs(levels - levels[i])
@@ -123,11 +117,10 @@ def _diff_pow_matrix(params: SpaceParams, p: int) -> np.ndarray:
     return out
 
 
-def labels_for(classifier: ClassifierHandle,
-               cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def labels_for(classifier: ClassifierHandle) -> np.ndarray:
     """Label of every image, indexed by rank."""
     params = classifier.params
-    return np.fromiter((classifier.decide(img) for img in enumerate_space(params, cap)),
+    return np.fromiter((classifier.decide(img) for img in enumerate_space(params)),
                        dtype=np.int64, count=params.total_images)
 
 
@@ -139,15 +132,15 @@ def level_threshold(params: SpaceParams, budget: PerturbationBudget) -> int:
 
 
 def _exhaustive(classifier: ClassifierHandle,
-                budgets: Sequence[PerturbationBudget],
-                cap: int) -> tuple[np.ndarray, list[np.ndarray]]:
+                budgets: Sequence[PerturbationBudget]
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Every image's label and, per budget, every image's verdict.
 
     Labels are decided once.  Each class present becomes a bitset over
     ranks, and its robust members are ``members & ~within(others)``.
     """
     params = classifier.params
-    labels = labels_for(classifier, cap)
+    labels = labels_for(classifier)
     count = len(labels)
     full = (1 << count) - 1
     classes = [int.from_bytes(np.packbits(labels == label, bitorder="little")
@@ -168,23 +161,22 @@ def _exhaustive(classifier: ClassifierHandle,
     return labels, verdicts
 
 
-def robust_flags(classifier: ClassifierHandle, budget: PerturbationBudget,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def robust_flags(classifier: ClassifierHandle,
+                 budget: PerturbationBudget) -> np.ndarray:
     """Robustness verdict for every image of an enumerable space, exactly.
 
     An image is robust iff no image within the (integerized) budget wears
     a different label.
     """
-    return _exhaustive(classifier, [budget], cap)[1][0]
+    return _exhaustive(classifier, [budget])[1][0]
 
 
 def robust_flags_by_matrix(classifier: ClassifierHandle,
-                           budget: PerturbationBudget,
-                           cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+                           budget: PerturbationBudget) -> np.ndarray:
     """Oracle for :func:`robust_flags` through the dense pairwise distance
     matrix, on spaces of at most ``MATRIX_CAP`` images."""
     matrix = _diff_pow_matrix(classifier.params, budget.p)
-    labels = labels_for(classifier, cap)
+    labels = labels_for(classifier)
     differs = labels[None, :] != labels[:, None]
     within = matrix <= level_threshold(classifier.params, budget)
     return ~(differs & within).any(axis=1)
@@ -202,10 +194,7 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
     params = image.params
     base_label = classifier.decide(image)
     if budget.p == 0:
-        d = math.floor(Fraction(budget.size))
-        if d < 0:
-            return True
-        d = min(d, params.dimension)
+        d = min(level_threshold(params, budget), params.dimension)
         alt = params.max_level  # alternative values per changed channel
         ball = sum(math.comb(params.dimension, j) * alt ** j
                    for j in range(d + 1))
@@ -231,8 +220,6 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
     if params.total_images > cap:
         raise SpaceTooLarge(f"space holds {params.total_images} images")
     threshold = level_threshold(params, budget)
-    if threshold < 0:
-        return True
     for other in enumerate_space(params, cap):
         if (level_diff_pow_sum(image, other, budget.p) <= threshold
                 and classifier.decide(other) != base_label):
@@ -303,12 +290,15 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
                           method: str = "exhaustive", *,
                           samples: Optional[int] = None,
                           seed: Optional[int] = None,
-                          cap: int = DEFAULT_ENUMERATION_CAP,
-                          sampler: str = "rejection") -> RobustnessReport:
-    """Robust fraction of one class: exact enumeration or Monte Carlo."""
+                          cap: int = DEFAULT_ENUMERATION_CAP) -> RobustnessReport:
+    """Robust fraction of one class: exact enumeration or Monte Carlo.
+
+    ``cap`` bounds the spaces the Monte Carlo verdicts scan; the exhaustive
+    method enumerates up to ``DEFAULT_ENUMERATION_CAP`` images.
+    """
     params = classifier.params
     if method == "exhaustive":
-        labels, (flags,) = _exhaustive(classifier, [budget], cap)
+        labels, (flags,) = _exhaustive(classifier, [budget])
         members = labels == label
         member_count = int(members.sum())
         robust_count = int((flags & members).sum())
@@ -326,16 +316,13 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
         robust_count = 0
         for index in range(samples):
             rng = philox_rng(seed, index)
-            if sampler == "conditional" and classifier.kind == "sum":
-                member = sample_sum_class_member(params, label, rng)
+            for _ in range(MAX_REJECTIONS):
+                member = sample_uniform(params, 0, rng=rng)
+                if classifier.decide(member) == label:
+                    break
             else:
-                for _ in range(MAX_REJECTIONS):
-                    member = sample_uniform(params, 0, rng=rng)
-                    if classifier.decide(member) == label:
-                        break
-                else:
-                    raise EmptyClass(
-                        f"no member of label {label} after {MAX_REJECTIONS} draws")
+                raise EmptyClass(
+                    f"no member of label {label} after {MAX_REJECTIONS} draws")
             if image_is_robust(classifier, member, budget, cap=cap):
                 robust_count += 1
         return RobustnessReport(
@@ -364,17 +351,16 @@ def sum_exact_fraction_L1(params: SpaceParams, size) -> Fraction:
     return pmf.cdf_at(robust_max) / denominator
 
 
-def reduction_check_L1_to_L0(classifier: ClassifierHandle, d,
-                             cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def reduction_check_L1_to_L0(classifier: ClassifierHandle, d) -> bool:
     """Whether robustness at L1 size d implies robustness at L0 size d."""
     _, (robust_l1, robust_l0) = _exhaustive(
         classifier, [PerturbationBudget(1, Fraction(d)),
-                     PerturbationBudget(0, Fraction(d))], cap)
+                     PerturbationBudget(0, Fraction(d))])
     return bool(np.all(~robust_l1 | robust_l0))
 
 
-def reduction_check_L0_to_Lp(classifier: ClassifierHandle, d: int, p: int,
-                             cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def reduction_check_L0_to_Lp(classifier: ClassifierHandle, d: int,
+                             p: int) -> bool:
     """Both directions of the L0-to-Lp reductions, with exact budgets.
 
     Robust at L0 size d must imply robust at Lp size ``d^(1/p)/(2^b-1)``;
@@ -389,7 +375,7 @@ def reduction_check_L0_to_Lp(classifier: ClassifierHandle, d: int, p: int,
                                size_pow=Fraction(d) / Fraction(top) ** p)
     large = PerturbationBudget(p, float(d) ** (1 / p), size_pow=Fraction(d))
     _, (robust_l0, robust_small, robust_large) = _exhaustive(
-        classifier, [PerturbationBudget(0, Fraction(d)), small, large], cap)
+        classifier, [PerturbationBudget(0, Fraction(d)), small, large])
     forward = bool(np.all(~robust_l0 | robust_small))
     backward = bool(np.all(~robust_large | robust_l0))
     return forward and backward
@@ -421,8 +407,8 @@ class Theorem1Report:
         return all(e.holds for e in self.entries)
 
 
-def theorem1_holds(classifier: ClassifierHandle, c_values: Sequence[float],
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> Theorem1Report:
+def theorem1_holds(classifier: ClassifierHandle,
+                   c_values: Sequence[float]) -> Theorem1Report:
     """Exhaustive check of the universal non-robustness bound.
 
     For every interesting class and every c: the robust fraction at the
@@ -434,7 +420,7 @@ def theorem1_holds(classifier: ClassifierHandle, c_values: Sequence[float],
     budgets = [exactmath.floor_plus_c_sqrt(c, params.h * params.n ** 2, add=2)
                for c in c_values]
     labels, verdicts = _exhaustive(
-        classifier, [PerturbationBudget(0, budget) for budget in budgets], cap)
+        classifier, [PerturbationBudget(0, budget) for budget in budgets])
     counts = np.bincount(labels, minlength=classifier.label_count)
     interesting = [label for label, count in enumerate(counts)
                    if is_interesting(int(count), params)]

@@ -28,7 +28,6 @@ from .image_space import (
     SpaceParams,
     level_diff_pow_sum,
     philox_rng,
-    philox_streams,
 )
 
 
@@ -57,9 +56,6 @@ class VerifyConfig:
     seed: int = 7
     samples: int = 10_000
     random_subsets: int = 100_000
-    mode_bound_n: int = 10_000
-    tail_ratio_n: int = 40
-    hoeffding_n: int = 64
     balanced_small: int = 1000
     balanced_large: int = 100
 
@@ -71,6 +67,12 @@ class VerifyConfig:
 
 
 # --- binomial suite ----------------------------------------------------------
+
+# largest n of the mode-bound, tail-ratio and Hoeffding sweeps
+MODE_BOUND_N = 10_000
+TAIL_RATIO_N = 40
+HOEFFDING_N = 64
+
 
 def suite_binomial(cfg: VerifyConfig) -> SuiteReport:
     checks = []
@@ -88,27 +90,27 @@ def suite_binomial(cfg: VerifyConfig) -> SuiteReport:
                               f"first violation n={bad[0]}" if bad
                               else "n <= 200, exhaustive"))
 
-    violation, min_gap = exactmath.mode_bound_sweep(cfg.mode_bound_n)
+    violation, min_gap = exactmath.mode_bound_sweep(MODE_BOUND_N)
     spot_ok = all(exactmath.mode_bound_holds(n) for n in (1, 2, 7, 100, 9999))
     checks.append(CheckResult(
         "binomial/mode-bound", violation is None and spot_ok, min_gap,
-        f"n <= {cfg.mode_bound_n}, min log gap {min_gap:.6f}"
+        f"n <= {MODE_BOUND_N}, min log gap {min_gap:.6f}"
         + ("" if violation is None else f"; violated at n={violation}")))
 
     p_grid = [Fraction(j, 10) for j in range(1, 10)]
     violations, min_diff = exactmath.tail_ratio_monotone_violations(
-        cfg.tail_ratio_n, 5, p_grid)
+        TAIL_RATIO_N, 5, p_grid)
     checks.append(CheckResult(
         "binomial/tail-ratio-monotone", not violations, min_diff,
-        f"n <= {cfg.tail_ratio_n}, k <= 5, p in j/10; "
+        f"n <= {TAIL_RATIO_N}, k <= 5, p in j/10; "
         + (f"first violation {violations[0]}" if violations else "exhaustive")))
 
     p_sweep = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     violations, min_margin = exactmath.hoeffding_sweep_violations(
-        cfg.hoeffding_n, p_sweep)
+        HOEFFDING_N, p_sweep)
     checks.append(CheckResult(
         "binomial/hoeffding-ratio", not violations, min_margin,
-        f"admissible sweep n <= {cfg.hoeffding_n}, p in (1/4,1/2,3/4); "
+        f"admissible sweep n <= {HOEFFDING_N}, p in (1/4,1/2,3/4); "
         + (f"first violation {violations[0]}" if violations else "exhaustive")))
 
     bad = []
@@ -275,11 +277,11 @@ def _sweep_hamgraph_random(dims: int, q: int, count_subsets: int,
         f"{count_subsets} seeded subsets, c in {_C_GRID}")
 
 
-def _sweep_harper(dims: int, q: int, k_values, tol: float = 1e-9) -> CheckResult:
+def _sweep_harper(dims: int, q: int, k_values) -> CheckResult:
     graph = hamming.GraphParams(dims, q)
     count = graph.vertex_count
     ks = sorted(k_values)
-    tol_fraction = Fraction(tol)
+    tol_fraction = Fraction(hamming.HARPER_TOL)
     masks = hamming._slot_masks(dims, q, _CHUNK)
     rhs_cache: dict = {}
     judged: dict = {}  # (k, |S|, |Exp^k S|) -> (float margin, holds)
@@ -323,7 +325,7 @@ def _sweep_harper(dims: int, q: int, k_values, tol: float = 1e-9) -> CheckResult
                 f"k={ks[bad[1]]}")
     return CheckResult(
         f"hamming/expansion-lower-bound-H({dims},{q})", True, worst,
-        f"all proper subsets, k in {ks}, tol {tol}; "
+        f"all proper subsets, k in {ks}, tol {hamming.HARPER_TOL}; "
         "integer shell parameter convention")
 
 
@@ -579,19 +581,16 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
 
     # Walk contracts against the independent full-enumeration oracle, with
     # the length bound compared exactly on integer level differences.
-    members_rng = philox_streams(cfg.seed)
-    points_rng = philox_streams(cfg.seed ^ 0x5EED)
     members, points = [], []
     for index in range(300):
-        member = robustness.sample_sum_class_member(params, 0,
-                                                    members_rng(index))
+        member = robustness.sample_sum_class_member(
+            params, 0, philox_rng(cfg.seed, index))
         members.append(member)
         for at in range(len(radii)):
             points.append(perturb.sample_point_in_cell(
-                member, points_rng(index * len(radii) + at)))
+                member, philox_rng(cfg.seed ^ 0x5EED, index * len(radii) + at)))
     nearest = perturb.nearest_cell_exhaustive(classifier, points, 0)
-    walk = perturb._CellWalk(classifier,
-                             classifier.labels(perturb.DEFAULT_CELL_CAP))
+    walk = perturb._CellWalk(classifier, classifier.labels())
     contract_bad = None
     worst = math.inf
     top = params.max_level
@@ -628,8 +627,7 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     failures = []  # per case: its failure counts at each radius
     for shape, spec in WALK_ORACLE_CASES:
         case = parse_classifier_spec(spec, SpaceParams(*shape))
-        case_walk = perturb._CellWalk(case,
-                                      case.labels(perturb.DEFAULT_CELL_CAP))
+        case_walk = perturb._CellWalk(case, case.labels())
         draws = list(perturb._class_draws(case_walk, 0, WALK_ORACLE_SAMPLES,
                                           cfg.seed))
         nearest = perturb.nearest_cell_exhaustive(

@@ -44,126 +44,168 @@ def run_checks(number, checks, detail):
     report_line(number, True, detail + worst)
 
 
-def assert_margins(suite, expected):
-    """Pin the exact float repr of margins computed from exact rationals."""
-    margins = {c.check_id: repr(c.margin) for c in suite.checks}
-    assert {k: margins.get(k) for k in expected} == expected
+# Every check of ``verify all --seed 7``:
+# (suite, check id, passed, repr of the margin, detail).
+VERIFY_ALL_PINNED = [
+    ("anticonc", "anticonc/binomial-spread", True, "1.9073486328125e-07",
+     "n in 2..20, symmetric family, all admissible half-integer t"),
+    ("anticonc", "anticonc/sum-left-tail", True, "0.11217337687398343",
+     "n in 2..64, 2k in (2,4,8), t grid"),
+    ("anticonc", "anticonc/operation-spot-check", True, "None",
+     "direct operation calls agree on spot grid"),
+    ("binomial", "binomial/pascal-identity", True, "None",
+     "n <= 200, exhaustive"),
+    ("binomial", "binomial/row-sum", True, "None", "n <= 200, exhaustive"),
+    ("binomial", "binomial/mode-bound", True, "0.45163270528973953",
+     "n <= 10000, min log gap 0.451633"),
+    ("binomial", "binomial/tail-ratio-monotone", True, "3.59e-38",
+     "n <= 40, k <= 5, p in j/10; exhaustive"),
+    ("binomial", "binomial/hoeffding-ratio", True, "3.8309579032561554e-29",
+     "admissible sweep n <= 64, p in (1/4,1/2,3/4); exhaustive"),
+    ("binomial", "binomial/tail-vs-convolution", True, "None",
+     "n <= 64, tails equal exact convolution CDFs"),
+    ("gaussian", "gaussian/ratio-monotone", True, "0.00026427658130931424",
+     "Phi(x-k)/Phi(x) nondecreasing on the grid"),
+    ("gaussian", "gaussian/tail-bound", True, "0.1213719017765844",
+     "Phi(x) < exp(-x^2/2) for x <= 1/2"),
+    ("gaussian", "gaussian/ratio-bound-at-half", True, "0.3320522270767977",
+     "Phi(1/2-c)/Phi(1/2) < 2 exp(-c^2/2)"),
+    ("gaussian", "gaussian/ratio-bound-general", True, "0.3320522270767977",
+     "same bound anchored at every grid x <= 1/2"),
+    ("hamming", "hamming/interior-ratio-H(4,2)-exhaustive", True,
+     "0.0006709252558050237",
+     "all subsets with 1 <= |S| <= 8, c in "
+     "[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]"),
+    ("hamming", "hamming/interior-ratio-H(2,4)-exhaustive", True,
+     "0.0006709252558050237",
+     "all subsets with 1 <= |S| <= 8, c in "
+     "[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]"),
+    ("hamming", "hamming/interior-ratio-H(6,2)-random", True,
+     "0.0006709252558050237",
+     "100000 seeded subsets, c in [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]"),
+    ("hamming", "hamming/interior-ratio-H(4,3)-random", True,
+     "0.0006709252558050237",
+     "100000 seeded subsets, c in [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]"),
+    ("hamming", "hamming/expansion-lower-bound-H(4,2)", True, "0.0",
+     "all proper subsets, k in [1, 2, 3], tol 1e-09; "
+     "integer shell parameter convention"),
+    ("hamming", "hamming/expansion-lower-bound-H(2,3)", True,
+     "4.042198674550024e-13",
+     "all proper subsets, k in [1], tol 1e-09; "
+     "integer shell parameter convention"),
+    ("hamming", "hamming/operator-invariants", True, "None",
+     "expand cross-check, extensivity, composition, duality on 600 random "
+     "subsets"),
+    ("reductions", "reductions/zoo-(2, 1, 1)", True, "None",
+     "d in (1,2,3), p in (2,3), exhaustive"),
+    ("reductions", "reductions/zoo-(2, 1, 2)", True, "None",
+     "d in (1,2,3), p in (2,3), exhaustive"),
+    ("reductions", "reductions/zoo-(3, 1, 1)", True, "None",
+     "d in (1,2,3), p in (2,3), exhaustive"),
+    ("theorem1", "theorem1/sum-(2,1,1)", True, "0.2706705664732254",
+     "c grid (0.5, 0.75, 1.0)"),
+    ("theorem1", "theorem1/balanced-x1000-(2,1,1)", True, "0.2706705664732254",
+     "c grid (0.5, 0.75, 1.0)"),
+    ("theorem1", "theorem1/balanced-x100-(2,1,2)", True, "0.2706705664732254",
+     "c grid (0.5, 0.75, 1.0)"),
+    ("theorem1", "theorem1/sum-(2,1,2)", True, "0.2706705664732254",
+     "c grid (0.5, 0.75, 1.0)"),
+    ("theorem2", "theorem2/exact-fractions-(16,1,1)", True, "0.2",
+     "c in {0.05..0.20}, exact tail ratios"),
+    ("theorem2", "theorem2/analytic-vs-exhaustive-(2, 1, 1)", True, "None",
+     "exact agreement on d grid"),
+    ("theorem2", "theorem2/analytic-vs-exhaustive-(3, 1, 1)", True, "None",
+     "exact agreement on d grid"),
+    ("theorem3", "theorem3/walk-contracts-(2,1,2)", True, "1.4459074466105402",
+     "300 seeded members, radii (1.5, 2.0): success iff a different-class "
+     "cell intersects the ball; exact length bound"),
+    ("theorem3", "theorem3/walk-equals-oracle", True, "None",
+     "500 failure_rate draws per case, radii (0.25, 0.5): walk success iff "
+     "the oracle's nearest different-class cell is within the radius; "
+     "failures (2, 1, 2) sum 81, 6; (3, 1, 1) linthresh:0 122, 4; "
+     "(1, 3, 1) sum 171, 6"),
+    ("theorem3", "theorem3/failure-rate-r1.5", True, "0.6689209363460229",
+     "0/10000 failures, CI (0.0000, 0.0004), bound 0.6693"),
+    ("theorem3", "theorem3/failure-rate-r2.0", True, "0.2902865681025488",
+     "0/10000 failures, CI (0.0000, 0.0004), bound 0.2907"),
+    ("theorem3", "theorem3/l2-robust-fraction-(2,1,2)", True,
+     "0.2706705664732254",
+     "exhaustive class-0 fraction at size c + 2n sqrt(h)/2^b below "
+     "2 exp(-c^2/2)"),
+    ("theorem3", "theorem3/higher-p-reduction-(2,1,2)", True, "None",
+     "robust at Lp size d^(2/p) implies robust at L2 size d, p in (3,4)"),
+]
 
 
-def test_criterion_01_binomial_suite():
-    suite = verify.suite_binomial(CFG)
+@pytest.fixture(scope="module")
+def reports():
+    """Every suite's report at the acceptance scale, run once per module."""
+    return {r.suite: r for r in verify.run_suites(verify.SUITES, CFG)}
+
+
+def test_verify_all_pinned(reports):
+    assert [(r.suite, c.check_id, c.passed, repr(c.margin), c.detail)
+            for r in reports.values() for c in r.checks] == VERIFY_ALL_PINNED
+
+
+def test_criterion_01_binomial_suite(reports):
     wanted = {"binomial/mode-bound", "binomial/tail-ratio-monotone",
               "binomial/hoeffding-ratio"}
-    checks = [c for c in suite.checks if c.check_id in wanted]
+    checks = [c for c in reports["binomial"].checks if c.check_id in wanted]
     assert len(checks) == 3
-    # every check's exact margin repr and detail
-    assert [(c.check_id, c.passed, repr(c.margin), c.detail)
-            for c in suite.checks] == [
-        ("binomial/pascal-identity", True, "None", "n <= 200, exhaustive"),
-        ("binomial/row-sum", True, "None", "n <= 200, exhaustive"),
-        ("binomial/mode-bound", True, "0.45163270528973953",
-         "n <= 10000, min log gap 0.451633"),
-        ("binomial/tail-ratio-monotone", True, "3.59e-38",
-         "n <= 40, k <= 5, p in j/10; exhaustive"),
-        ("binomial/hoeffding-ratio", True, "3.8309579032561554e-29",
-         "admissible sweep n <= 64, p in (1/4,1/2,3/4); exhaustive"),
-        ("binomial/tail-vs-convolution", True, "None",
-         "n <= 64, tails equal exact convolution CDFs"),
-    ]
     run_checks(1, checks,
                "mode bound n<=1e4, tail-ratio monotone n<=40, "
                "Hoeffding sweep n<=64, zero violations")
 
 
-@pytest.fixture(scope="module")
-def hamming_suite():
-    return verify.suite_hamming(CFG)
-
-
-def test_criterion_02_hamming_isoperimetry(hamming_suite):
-    checks = [c for c in hamming_suite.checks if "interior-ratio" in c.check_id]
+def test_criterion_02_hamming_isoperimetry(reports):
+    checks = [c for c in reports["hamming"].checks
+              if "interior-ratio" in c.check_id]
     ids = {c.check_id for c in checks}
     assert {"hamming/interior-ratio-H(4,2)-exhaustive",
             "hamming/interior-ratio-H(6,2)-random",
             "hamming/interior-ratio-H(4,3)-random"} <= ids
-    assert_margins(hamming_suite, {check_id: "0.0006709252558050237"
-                                   for check_id in ids})
     assert len(ids) == 4
     run_checks(2, checks,
                "interior ratio < 2e^(-2c^2): H(4,2) exhaustive |S|<=8 and "
                "2x100000 random subsets of H(6,2), H(4,3)")
 
 
-def test_criterion_03_harper_lower_bound(hamming_suite):
-    checks = [c for c in hamming_suite.checks
+def test_criterion_03_harper_lower_bound(reports):
+    checks = [c for c in reports["hamming"].checks
               if "expansion-lower-bound" in c.check_id]
     assert len(checks) == 2
-    assert_margins(hamming_suite, {
-        "hamming/expansion-lower-bound-H(4,2)": "0.0",
-        "hamming/expansion-lower-bound-H(2,3)": "4.042198674550024e-13"})
     run_checks(3, checks,
                "expansion >= tail bound - 1e-9: H(4,2) k in 1..3, H(2,3) k=1, "
                "exhaustive")
 
 
-def test_criterion_04_theorem1_desk_scale():
-    suite = verify.suite_theorem1(CFG)
-    run_checks(4, list(suite.checks),
+def test_criterion_04_theorem1_desk_scale(reports):
+    run_checks(4, list(reports["theorem1"].checks),
                "robust fraction < 2e^(-2c^2) for sum + 1000 balanced on "
                "(2,1,1) and 100 on (2,1,2), c in {0.5,0.75,1.0}")
 
 
-def test_criterion_05_theorem2_exact():
-    suite = verify.suite_theorem2(CFG)
-    assert_margins(suite, {"theorem2/exact-fractions-(16,1,1)": "0.2"})
-    run_checks(5, list(suite.checks),
+def test_criterion_05_theorem2_exact(reports):
+    run_checks(5, list(reports["theorem2"].checks),
                "exact class-0 fractions >= 1-4c on (16,1,1) and exhaustive "
                "agreement on (2,1,1), (3,1,1), zero tolerance")
 
 
-def test_criterion_06_anti_concentration():
-    suite = verify.suite_anticonc(CFG)
-    assert_margins(suite, {"anticonc/sum-left-tail": "0.11217337687398343",
-                           "anticonc/binomial-spread": "1.9073486328125e-07"})
-    run_checks(6, list(suite.checks),
+def test_criterion_06_anti_concentration(reports):
+    run_checks(6, list(reports["anticonc"].checks),
                "binomial-spread n<=20 and left-tail bound n<=64, "
                "2k in {2,4,8}, exact convolutions, zero violations")
 
 
-def test_criterion_07_norm_reductions():
-    suite = verify.suite_reductions(CFG)
-    run_checks(7, list(suite.checks),
+def test_criterion_07_norm_reductions(reports):
+    run_checks(7, list(reports["reductions"].checks),
                "L1->L0 and L0->Lp reductions, zoo on (2,1,1), (2,1,2), "
                "(3,1,1), d<=3, p in {2,3}, zero violations")
 
 
-# Every theorem3 check at seed 7: (check id, repr of the margin, detail).
-THEOREM3_PINNED = [
-    ("theorem3/walk-contracts-(2,1,2)", "1.4459074466105402",
-     "300 seeded members, radii (1.5, 2.0): success iff a different-class "
-     "cell intersects the ball; exact length bound"),
-    ("theorem3/walk-equals-oracle", "None",
-     "500 failure_rate draws per case, radii (0.25, 0.5): walk success iff "
-     "the oracle's nearest different-class cell is within the radius; "
-     "failures (2, 1, 2) sum 81, 6; (3, 1, 1) linthresh:0 122, 4; "
-     "(1, 3, 1) sum 171, 6"),
-    ("theorem3/failure-rate-r1.5", "0.6689209363460229",
-     "0/10000 failures, CI (0.0000, 0.0004), bound 0.6693"),
-    ("theorem3/failure-rate-r2.0", "0.2902865681025488",
-     "0/10000 failures, CI (0.0000, 0.0004), bound 0.2907"),
-    ("theorem3/l2-robust-fraction-(2,1,2)", "0.2706705664732254",
-     "exhaustive class-0 fraction at size c + 2n sqrt(h)/2^b below "
-     "2 exp(-c^2/2)"),
-    ("theorem3/higher-p-reduction-(2,1,2)", "None",
-     "robust at Lp size d^(2/p) implies robust at L2 size d, p in (3,4)"),
-]
-
-
-def test_criterion_08_walk_contracts():
-    suite = verify.suite_theorem3(CFG)
-    assert [(c.check_id, repr(c.margin), c.detail)
-            for c in suite.checks] == THEOREM3_PINNED
-    wanted = [c for c in suite.checks
+def test_criterion_08_walk_contracts(reports):
+    wanted = [c for c in reports["theorem3"].checks
               if "walk-contracts" in c.check_id or "failure-rate" in c.check_id]
     assert len(wanted) == 3
     run_checks(8, wanted,
@@ -204,14 +246,8 @@ def test_criterion_08_findpert_cli_pinned(case, expected, capsys, tmp_path):
             out["cells_examined"]) == expected
 
 
-def test_criterion_09_gaussian_suite():
-    suite = verify.suite_gaussian(CFG)
-    assert_margins(suite, {
-        "gaussian/ratio-monotone": "0.00026427658130931424",
-        "gaussian/tail-bound": "0.1213719017765844",
-        "gaussian/ratio-bound-at-half": "0.3320522270767977",
-        "gaussian/ratio-bound-general": "0.3320522270767977"})
-    run_checks(9, list(suite.checks),
+def test_criterion_09_gaussian_suite(reports):
+    run_checks(9, list(reports["gaussian"].checks),
                "normal-CDF checks on x in [-6,0.5] step 0.01, "
                "c in {0.1..4.0}, certified precision 1e-12")
 

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 
 from robustness_envelope import classifiers as cl
-from robustness_envelope.errors import AnalyticUnavailable, SpaceTooLarge
+from robustness_envelope.errors import (
+    AnalyticUnavailable,
+    ContractViolation,
+    SpaceTooLarge,
+)
 from robustness_envelope.image_space import ImageTensor, SpaceParams, enumerate_space
 
 P211 = SpaceParams(2, 1, 1)
@@ -52,6 +56,14 @@ class TestClassSizes:
         c = cl.random_classifier(P211, 2, "uniform", 3)
         sizes = cl.class_sizes(c)
         assert sum(s.count for s in sizes) == 16
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_out_of_range(self, bad):
+        c = cl.ClassifierHandle(params=P211, label_count=2,
+                                decide=lambda image: bad, kind="custom",
+                                spec="custom")
+        with pytest.raises(ContractViolation):
+            cl.class_sizes(c)
 
 
 class TestIsInteresting:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from robustness_envelope import cli, exactmath
+from robustness_envelope import cli, exactmath, verify
 from robustness_envelope.image_space import ImageTensor, SpaceParams, encode_image
 
 
@@ -90,6 +91,20 @@ class TestVerify:
             cli.main(["verify", "nonsense"])
         assert exit_info.value.code == 2
 
+    def test_every_config_field_has_a_flag(self, capsys, monkeypatch):
+        # each VerifyConfig field must be settable from the command line
+        seen = []
+        monkeypatch.setattr(verify, "run_suites",
+                            lambda names, cfg: seen.append(cfg) or [])
+        code, _, _ = run_cli(capsys, "verify", "all", "--seed", "8",
+                             "--samples", "9", "--subsets", "10",
+                             "--balanced-small", "11", "--balanced-large", "12")
+        assert code == 0
+        (cfg,) = seen
+        default = verify.VerifyConfig()
+        assert [f.name for f in dataclasses.fields(cfg)
+                if getattr(cfg, f.name) == getattr(default, f.name)] == []
+
     def test_injected_mutant_detected(self, capsys, monkeypatch):
         # Weakening the tail-ratio bound exponent must trip the sweep and
         # name the counterexample.
@@ -144,6 +159,14 @@ class TestAttack:
                                  "--seed", "1")
         assert code == 2 and out == ""
         assert "radius must be >= 0" in err
+
+    def test_negative_norm_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "img.json"
+        path.write_bytes(encode_image(ImageTensor(SpaceParams(1, 1, 1), (0,))))
+        code, out, err = run_cli(capsys, "attack", "--image", str(path),
+                                 "--method", "minimal", "--norm", "-1")
+        assert code == 2 and out == ""
+        assert "error: p must be >= 0, got -1" in err
 
     def test_malformed_image_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

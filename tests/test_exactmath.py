@@ -12,6 +12,7 @@ from robustness_envelope import exactmath as em
 from robustness_envelope.errors import (
     AsymmetricY,
     NoSolution,
+    PrecisionInsufficient,
     PreconditionViolated,
     SupportCapExceeded,
     ZeroDenominator,
@@ -578,6 +579,16 @@ class TestCertifiedCompare:
         # e^1 = 2.718...: 2.7 < e < 2.8
         assert em.compare_scaled_exp(Fraction(27, 10), Fraction(1), Fraction(1)) == -1
         assert em.compare_scaled_exp(Fraction(28, 10), Fraction(1), Fraction(1)) == 1
+
+    def test_gives_up_at_max_dps(self, monkeypatch):
+        # e cut to 60 decimals: separated at 120 digits, not within 30
+        with mpmath.workdps(80):
+            close_to_e = Fraction(int(mpmath.floor(mpmath.e * 10 ** 60)),
+                                  10 ** 60)
+        assert em.compare_scaled_exp(close_to_e, Fraction(1), Fraction(1)) == -1
+        monkeypatch.setattr(em, "MAX_DPS", 30)
+        with pytest.raises(PrecisionInsufficient):
+            em.compare_scaled_exp(close_to_e, Fraction(1), Fraction(1))
 
 
 class TestFloorPlusCSqrt:

@@ -1,7 +1,7 @@
 """``failure_rate``'s batch draws against the per-stream generator loop.
 
 ``failure_rate_oracle`` is the earlier ``failure_rate`` kept as the oracle:
-one ``philox_streams`` generator per sample, rejection draws by
+one ``philox_rng(seed, index)`` generator per sample, rejection draws by
 ``Generator.integers(0, q, size=dim)`` and one ``find_perturbation`` per
 member.  The batch path decodes raw Philox words instead
 (``perturb._class_draws``) and must give every sample the same member,
@@ -25,7 +25,6 @@ from robustness_envelope.image_space import (
     ImageTensor,
     SpaceParams,
     philox_rng,
-    philox_streams,
 )
 
 
@@ -36,10 +35,9 @@ def failure_rate_oracle(classifier, label, radius, samples, seed,
     params = classifier.params
     q, dim = params.level_count, params.dimension
     label_cache = {}
-    streams = philox_streams(seed)
     out = []
     for index in range(samples):
-        rng = streams(index)
+        rng = philox_rng(seed, index)
         for _ in range(max_rejections):
             levels = rng.integers(0, q, size=dim).tolist()
             if classifier.decide(ImageTensor(params, levels)) == label:

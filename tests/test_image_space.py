@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,18 @@ class TestEnumeration:
             list(isp.enumerate_space(P212, cap=100))
 
 
+class TestPerturbationBudget:
+    # a negative size_pow gave level threshold -9 on (2,1,2), so every image
+    # read as robust; a NaN or infinite size failed only in level_threshold
+    @pytest.mark.parametrize("size,size_pow", [(1.0, Fraction(-1)),
+                                               (math.nan, None),
+                                               (math.inf, None)],
+                             ids=["negative-size-pow", "nan", "inf"])
+    def test_rejects_invalid_size(self, size, size_pow):
+        with pytest.raises(ValueError, match="size"):
+            isp.PerturbationBudget(2, size, size_pow=size_pow)
+
+
 class TestSampling:
     def test_deterministic(self):
         a = isp.sample_uniform(P212, seed=42)
@@ -160,34 +173,6 @@ class TestSampling:
         expected = len(draws) / 4
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 11.34
-
-
-def stream_draws(rng):
-    """Mixed draws: bounded integers, which keep a buffered 32-bit half,
-    interleaved with doubles."""
-    return [rng.integers(0, 4, size=4).tolist(), rng.uniform(0, 1),
-            rng.integers(0, 4, size=4).tolist(), rng.uniform(0, 1),
-            rng.uniform(0, 1), rng.integers(0, 4, size=4).tolist(),
-            rng.uniform(0, 1)]
-
-
-class TestPhiloxStreams:
-    def test_equal_to_philox_rng_on_every_drawn_stream(self):
-        # indices 0..19999 at seed 7 cover the walk contracts' 300 member
-        # streams; the second seed holds their 600 point streams
-        for seed, count in ((7, 20_000), (7 ^ 0x5EED, 600)):
-            streams = isp.philox_streams(seed)
-            for index in range(count):
-                assert stream_draws(streams(index)) == \
-                    stream_draws(isp.philox_rng(seed, index)), (seed, index)
-
-    def test_rekeying_discards_a_partly_used_stream(self):
-        streams = isp.philox_streams(3)
-        streams(5).integers(0, 4, size=3)  # leaves a buffered half behind
-        assert stream_draws(streams(5)) == stream_draws(isp.philox_rng(3, 5))
-        big = (1 << 64) + 9  # keys wrap modulo 2^64, as in philox_rng
-        assert stream_draws(isp.philox_streams(big)(big)) == \
-            stream_draws(isp.philox_rng(big, big))
 
 
 def raw_words(seed, index, count, start=0):

@@ -22,6 +22,7 @@ from .errors import BitDepthTooLarge
 WORK_DPS = 30
 TABLE_DIGITS = 6
 ROUNDING_NOTE = "6 significant digits, nearest (ties to even)"
+CROSSOVER_N_MAX = 1 << 20  # largest n empirical_crossover_n evaluates
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,16 @@ def avg_distance_lower_bound(n: int, h: int, b: int, p: int) -> float:
         return float(constants.k_hbp * mpmath.mpf(n) ** (mpmath.mpf(2) / max(1, p)))
 
 
-def empirical_crossover_n(r: float, h: int, b: int, p: int,
-                          n_max: int = 1 << 20) -> int | None:
+def empirical_crossover_n(r: float, h: int, b: int, p: int) -> int | None:
     """Smallest n at which the upper size stays at or above the lower size.
 
     The bracketing theorems only promise such an n exists; this reports
-    the observed threshold for concrete parameters (None if it is not
-    reached by ``n_max``).
+    the observed threshold for concrete parameters over the powers of two
+    up to ``CROSSOVER_N_MAX`` (None if it is not reached by then).
     """
     threshold = None
     n = 1
-    while n <= n_max:
+    while n <= CROSSOVER_N_MAX:
         q = BoundQuery(r=r, p=p, n=n, h=h, b=b)
         result = evaluate_bounds(q)
         if result.upper_size >= result.lower_size:

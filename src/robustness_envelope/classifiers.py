@@ -15,11 +15,11 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import exactmath
-from .errors import AnalyticUnavailable, ContractViolation, SpaceTooLarge
+from .errors import AnalyticUnavailable, ContractViolation
 from .image_space import (
-    DEFAULT_ENUMERATION_CAP,
     ImageTensor,
     SpaceParams,
+    check_enumerable,
     enumerate_space,
     flatten,
     image_from_rank,
@@ -49,13 +49,12 @@ class ClassifierHandle:
         unsigned dtype that holds ``label_count - 1``.
 
         Uses ``batch`` when the handle has one, else one ``decide`` per
-        image; spaces beyond ``DEFAULT_ENUMERATION_CAP`` images raise
-        :class:`SpaceTooLarge`.
+        image; a space beyond the enumeration bound raises
+        :class:`SpaceTooLarge` (:func:`check_enumerable`) before any label
+        is computed.
         """
         params = self.params
-        if params.total_images > DEFAULT_ENUMERATION_CAP:
-            raise SpaceTooLarge(f"space holds {params.total_images} images, "
-                                f"cap is {DEFAULT_ENUMERATION_CAP}")
+        check_enumerable(params)
         if self.batch is not None:
             labels = self.batch()
         else:
@@ -203,8 +202,7 @@ def linear_threshold_classifier(params: SpaceParams, weights: np.ndarray,
 
 
 def random_classifier(params: SpaceParams, label_count: int, kind: str,
-                      seed: int,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> ClassifierHandle:
+                      seed: int) -> ClassifierHandle:
     """Seeded random classifier of one of three kinds.
 
     ``uniform`` labels every image independently; ``balanced`` partitions
@@ -216,16 +214,13 @@ def random_classifier(params: SpaceParams, label_count: int, kind: str,
         raise ValueError(f"label_count must be >= 2, got {label_count}")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
-        total = params.total_images
-        if total > cap:
-            raise SpaceTooLarge(f"space holds {total} images, cap is {cap}")
-        labels = rng.integers(0, label_count, size=total)
+        check_enumerable(params)
+        labels = rng.integers(0, label_count, size=params.total_images)
         return _materialized(params, labels, label_count, kind,
                              f"uniform:{seed}:{label_count}")
     if kind == "balanced":
+        check_enumerable(params)
         total = params.total_images
-        if total > cap:
-            raise SpaceTooLarge(f"space holds {total} images, cap is {cap}")
         labels = np.empty(total, dtype=np.int64)
         labels[rng.permutation(total)] = np.arange(total) % label_count
         return _materialized(params, labels, label_count, kind,
@@ -240,8 +235,7 @@ def random_classifier(params: SpaceParams, label_count: int, kind: str,
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def parse_classifier_spec(spec: str, params: SpaceParams,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> ClassifierHandle:
+def parse_classifier_spec(spec: str, params: SpaceParams) -> ClassifierHandle:
     """Build a classifier from its string form.
 
     Accepted forms: ``sum``, ``balanced:<seed>``, ``uniform:<seed>:<labels>``,
@@ -252,13 +246,13 @@ def parse_classifier_spec(spec: str, params: SpaceParams,
         if parts == ["sum"]:
             return sum_classifier(params)
         if parts[0] == "balanced" and len(parts) == 2:
-            return random_classifier(params, 2, "balanced", int(parts[1]), cap)
+            return random_classifier(params, 2, "balanced", int(parts[1]))
         if parts[0] == "uniform" and len(parts) == 3:
             return random_classifier(params, int(parts[2]), "uniform",
-                                     int(parts[1]), cap)
+                                     int(parts[1]))
         if parts[0] == "linthresh" and len(parts) == 2:
             return random_classifier(params, 2, "linear_threshold",
-                                     int(parts[1]), cap)
+                                     int(parts[1]))
     except ValueError as e:
         raise ValueError(f"bad classifier spec {spec!r}: {e}") from e
     raise ValueError(f"unknown classifier spec {spec!r}")

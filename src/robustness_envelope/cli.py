@@ -14,9 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import bounds, perturb, robustness, verify
 from .classifiers import parse_classifier_spec
@@ -28,37 +26,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The full invocation, embedded in every report for reproducibility.
-
-    Fields not meaningful for a command stay None and are dropped from
-    the serialized form.
-    """
-
-    command: str
-    n: Optional[int] = None
-    h: Optional[int] = None
-    b: Optional[int] = None
-    r: Optional[float] = None
-    c: Optional[float] = None
-    p: Optional[list] = None
-    norm: Optional[int] = None
-    size: Optional[float] = None
-    radius: Optional[float] = None
-    classifier: Optional[str] = None
-    label: Optional[int] = None
-    image: Optional[str] = None
-    method: Optional[str] = None
-    suite: Optional[str] = None
-    samples: Optional[int] = None
-    subsets: Optional[int] = None
-    seed: Optional[int] = None
-    format: Optional[str] = None
-    rounding: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+def _config(**fields) -> dict:
+    """The invocation, embedded in every report for reproducibility,
+    without the fields a command leaves None."""
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -93,9 +64,9 @@ def cmd_bounds(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     rows = bounds.bounds_table(r, args.n, args.h, args.b, args.p)
-    config = RunConfig(command="bounds", r=float(r), c=c, n=args.n, h=args.h,
-                       b=args.b, p=args.p, format=args.format,
-                       rounding=bounds.ROUNDING_NOTE).to_dict()
+    config = _config(command="bounds", r=float(r), c=c, n=args.n, h=args.h,
+                     b=args.b, p=args.p, format=args.format,
+                     rounding=bounds.ROUNDING_NOTE)
     if args.format == "json":
         payload = {"config": config, "rows": [row.to_dict() for row in rows]}
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
@@ -117,9 +88,9 @@ def cmd_verify(args) -> int:
                               balanced_small=args.balanced_small,
                               balanced_large=args.balanced_large)
     reports = verify.run_suites(names, cfg)
-    config = RunConfig(command="verify", suite=args.suite, seed=args.seed,
-                       samples=args.samples, subsets=args.subsets,
-                       format=args.format).to_dict()
+    config = _config(command="verify", suite=args.suite, seed=args.seed,
+                     samples=args.samples, subsets=args.subsets,
+                     format=args.format)
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
         payload = {
@@ -150,15 +121,13 @@ def cmd_attack(args) -> int:
     except (OSError, MalformedInput) as e:
         print(f"error: cannot read image: {e}", file=sys.stderr)
         return EXIT_USAGE
-    classifier = parse_classifier_spec(args.classifier, image.params,
-                                       cap=args.cap_images)
-    config = RunConfig(command="attack", image=args.image,
-                       method=args.method, classifier=args.classifier,
-                       norm=args.norm, radius=float(args.radius),
-                       seed=args.seed).to_dict()
+    classifier = parse_classifier_spec(args.classifier, image.params)
+    config = _config(command="attack", image=args.image,
+                     method=args.method, classifier=args.classifier,
+                     norm=args.norm, radius=float(args.radius),
+                     seed=args.seed)
     if args.method == "minimal":
-        result = perturb.minimal_perturbation(classifier, image, args.norm,
-                                              cap=args.cap_images)
+        result = perturb.minimal_perturbation(classifier, image, args.norm)
         payload = {"config": config, "method": result.method, "p": result.p,
                    "distance": result.distance,
                    "witness": list(result.witness.levels)}
@@ -180,17 +149,15 @@ def cmd_attack(args) -> int:
 
 def cmd_estimate(args) -> int:
     params = SpaceParams(args.n, args.h, args.b)
-    classifier = parse_classifier_spec(args.classifier, params,
-                                       cap=args.cap_images)
+    classifier = parse_classifier_spec(args.classifier, params)
     budget = PerturbationBudget(args.norm, args.size)
     report = robustness.class_robust_fraction(
         classifier, args.label, budget, method="monte_carlo",
-        samples=args.samples, seed=args.seed, cap=args.cap_images)
-    config = RunConfig(command="estimate", n=args.n, h=args.h, b=args.b,
-                       classifier=args.classifier, label=args.label,
-                       norm=args.norm, size=float(args.size),
-                       samples=args.samples,
-                       seed=args.seed, format=args.format).to_dict()
+        samples=args.samples, seed=args.seed)
+    config = _config(command="estimate", n=args.n, h=args.h, b=args.b,
+                     classifier=args.classifier, label=args.label,
+                     norm=args.norm, size=float(args.size),
+                     samples=args.samples, seed=args.seed, format=args.format)
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -247,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_decimal, default=Fraction(1),
                    help="search radius for --method findpert, exact")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap-images", type=int, default=1 << 20)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_attack)
 
@@ -262,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="budget size, exact: 0.6 is 3/5")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap-images", type=int, default=1 << 20)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_estimate)

@@ -54,7 +54,7 @@ class ShapeMismatch(EnvelopeError):
 
 
 class SpaceTooLarge(EnvelopeError):
-    """A full enumeration was requested beyond the configured cap."""
+    """A full scan was requested of a space beyond the enumeration bound."""
 
 
 class MalformedInput(EnvelopeError):
@@ -99,10 +99,6 @@ class BitDepthTooLarge(EnvelopeError):
 
 class DimensionTooLarge(EnvelopeError):
     """The cell-walk search is limited to small flattened dimensions."""
-
-
-class EnumerationCapExceeded(EnvelopeError):
-    """A cell enumeration would visit more cells than the configured cap."""
 
 
 class NoOtherClass(EnvelopeError):

@@ -123,14 +123,14 @@ class PerturbationBudget:
         return Fraction(self.size) ** max(self.p, 1)
 
 
-def value_of_level(level: int, b: int, exact: bool = False):
+def value_of_level(level: int, b: int) -> float:
     """Real channel value of a level: ``level / (2^b - 1)``."""
     top = (1 << b) - 1
     if not (0 <= level <= top):
         raise LevelOutOfRange(f"level {level} outside [0, {top}]")
     if top == 0:
         raise LevelOutOfRange("bit depth must be >= 1")
-    return Fraction(level, top) if exact else level / top
+    return level / top
 
 
 def image_from_rank(params: SpaceParams, rank: int) -> ImageTensor:
@@ -174,6 +174,14 @@ def norm_pth_power(a: ImageTensor, b: ImageTensor, p: int) -> Fraction:
     if p < 1:
         raise ValueError("p must be >= 1")
     return Fraction(level_diff_pow_sum(a, b, p), a.params.max_level ** p)
+
+
+def check_enumerable(params: SpaceParams) -> None:
+    """Raise :class:`SpaceTooLarge` beyond ``DEFAULT_ENUMERATION_CAP``
+    images, the bound of every full scan of a space."""
+    if params.total_images > DEFAULT_ENUMERATION_CAP:
+        raise SpaceTooLarge(f"space holds {params.total_images} images, "
+                            f"cap is {DEFAULT_ENUMERATION_CAP}")
 
 
 def enumerate_space(params: SpaceParams,

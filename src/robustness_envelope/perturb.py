@@ -25,17 +25,15 @@ from .errors import (
     ContractViolation,
     DimensionTooLarge,
     EmptyClass,
-    EnumerationCapExceeded,
     NoOtherClass,
     ShapeMismatch,
-    SpaceTooLarge,
 )
 from .image_space import (
-    DEFAULT_ENUMERATION_CAP,
     MAX_REJECTIONS,
     ImageTensor,
     SpaceParams,
     cell_of_point,
+    check_enumerable,
     enumerate_space,
     image_from_rank,
     level_diff_pow_sum,
@@ -141,10 +139,7 @@ def _check_caps(params: SpaceParams) -> None:
     if params.dimension > DEFAULT_DIMENSION_CAP:
         raise DimensionTooLarge(
             f"dimension {params.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    if params.total_images > DEFAULT_ENUMERATION_CAP:
-        # a space has as many cells as images
-        raise EnumerationCapExceeded(
-            f"{params.total_images} cells exceed cap {DEFAULT_ENUMERATION_CAP}")
+    check_enumerable(params)  # a space has as many cells as images
 
 
 def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
@@ -453,8 +448,7 @@ def _search_result(params: SpaceParams, p: int, pow_sum: int,
 
 
 def minimal_perturbation(classifier: ClassifierHandle, image: ImageTensor,
-                         p: int,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> PerturbationSearchResult:
+                         p: int) -> PerturbationSearchResult:
     """Exact minimal p-distance to any different-class image, by full scan.
 
     The integer quantity ``sum |delta_level|^p`` orders candidates exactly,
@@ -463,12 +457,11 @@ def minimal_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     """
     _check_norm(p)
     params = image.params
-    if params.total_images > cap:
-        raise SpaceTooLarge(f"space holds {params.total_images} images")
+    check_enumerable(params)
     base_label = classifier.decide(image)
     best = None
     best_witness = None
-    for other in enumerate_space(params, cap):
+    for other in enumerate_space(params):
         if classifier.decide(other) == base_label:
             continue
         value = level_diff_pow_sum(image, other, p)

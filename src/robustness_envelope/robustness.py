@@ -38,14 +38,13 @@ from .errors import (
     ContractViolation,
     EmptyClass,
     PreconditionViolated,
-    SpaceTooLarge,
 )
 from .image_space import (
-    DEFAULT_ENUMERATION_CAP,
     MAX_REJECTIONS,
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
+    check_enumerable,
     enumerate_space,
     level_diff_pow_sum,
     philox_rng,
@@ -120,6 +119,7 @@ def _diff_pow_matrix(params: SpaceParams, p: int) -> np.ndarray:
 def labels_for(classifier: ClassifierHandle) -> np.ndarray:
     """Label of every image, indexed by rank."""
     params = classifier.params
+    check_enumerable(params)  # before the array is allocated
     return np.fromiter((classifier.decide(img) for img in enumerate_space(params)),
                        dtype=np.int64, count=params.total_images)
 
@@ -183,8 +183,7 @@ def robust_flags_by_matrix(classifier: ClassifierHandle,
 
 
 def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
-                    budget: PerturbationBudget, *,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+                    budget: PerturbationBudget) -> bool:
     """Whether every image within the budget keeps the input's label.
 
     p = 0 enumerates the perturbation ball directly; p >= 1 compares the
@@ -217,10 +216,9 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
         # for p = 1 `exact` is the distance, beyond that its p-th power
         attack = perturb.attack_sum_classifier(image, budget.p)
         return attack.exact > budget.exact_size_pow()
-    if params.total_images > cap:
-        raise SpaceTooLarge(f"space holds {params.total_images} images")
+    check_enumerable(params)
     threshold = level_threshold(params, budget)
-    for other in enumerate_space(params, cap):
+    for other in enumerate_space(params):
         if (level_diff_pow_sum(image, other, budget.p) <= threshold
                 and classifier.decide(other) != base_label):
             return False
@@ -289,14 +287,16 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
                           budget: PerturbationBudget,
                           method: str = "exhaustive", *,
                           samples: Optional[int] = None,
-                          seed: Optional[int] = None,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> RobustnessReport:
+                          seed: Optional[int] = None) -> RobustnessReport:
     """Robust fraction of one class: exact enumeration or Monte Carlo.
 
-    ``cap`` bounds the spaces the Monte Carlo verdicts scan; the exhaustive
-    method enumerates up to ``DEFAULT_ENUMERATION_CAP`` images.
+    A label outside ``[0, label_count)`` is a ``ValueError``, raised before
+    any image is labelled or drawn.
     """
     params = classifier.params
+    if not 0 <= label < classifier.label_count:
+        raise ValueError(f"label must be in [0, {classifier.label_count}), "
+                         f"got {label}")
     if method == "exhaustive":
         labels, (flags,) = _exhaustive(classifier, [budget])
         members = labels == label
@@ -323,7 +323,7 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
             else:
                 raise EmptyClass(
                     f"no member of label {label} after {MAX_REJECTIONS} draws")
-            if image_is_robust(classifier, member, budget, cap=cap):
+            if image_is_robust(classifier, member, budget):
                 robust_count += 1
         return RobustnessReport(
             space=params, classifier=classifier.spec, label=label,

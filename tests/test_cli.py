@@ -168,6 +168,16 @@ class TestAttack:
         assert code == 2 and out == ""
         assert "error: p must be >= 0, got -1" in err
 
+    def test_cap_images_flag_is_gone(self, capsys, tmp_path):
+        path = tmp_path / "img.json"
+        path.write_bytes(encode_image(ImageTensor(SpaceParams(2, 1, 2),
+                                                  (0, 0, 0, 0))))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["attack", "--image", str(path), "--method", "findpert",
+                      "--radius", "2", "--seed", "1", "--cap-images", "10"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cap-images" in capsys.readouterr().err
+
     def test_malformed_image_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -222,6 +232,22 @@ class TestEstimate:
                                "--b", "1", "--norm", "0", "--size", "1",
                                "--samples", "0", "--seed", "1")
         assert code == 2 and "error" in err
+
+    def test_label_out_of_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--n", "2", "--h", "1",
+                                 "--b", "1", "--classifier", "sum", "--label",
+                                 "5", "--norm", "0", "--size", "1",
+                                 "--samples", "3", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "error: label must be in [0, 2), got 5" in err
+
+    def test_space_beyond_the_bound_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--n", "1", "--h", "1",
+                                 "--b", "21", "--classifier", "uniform:1:2",
+                                 "--norm", "0", "--size", "1",
+                                 "--samples", "3", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "error: space holds 2097152 images, cap is 1048576" in err
 
     def test_seed_reproducibility_byte_identical(self, capsys):
         args = ("estimate", "--n", "2", "--h", "1", "--b", "1", "--norm", "0",

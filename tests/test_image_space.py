@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustness_envelope import image_space as isp
+from robustness_envelope import perturb
+from robustness_envelope import robustness as rb
+from robustness_envelope.classifiers import random_classifier, sum_classifier
 from robustness_envelope.errors import (
     CoordinateOutOfRange,
     LevelOutOfRange,
@@ -53,9 +57,6 @@ class TestValueOfLevel:
         assert isp.value_of_level(0, 3) == 0
         assert isp.value_of_level(7, 3) == 1
         assert isp.value_of_level(1, 1) == 1
-
-    def test_exact_form(self):
-        assert isp.value_of_level(3, 3, exact=True) == Fraction(3, 7)
 
     def test_out_of_range(self):
         with pytest.raises(LevelOutOfRange):
@@ -130,6 +131,51 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(SpaceTooLarge):
             list(isp.enumerate_space(P212, cap=100))
+
+
+# A space one bit beyond the enumeration bound: every full scan refuses it
+# through check_enumerable before it labels, draws or allocates anything.
+BEYOND = isp.SpaceParams(1, 1, 21)
+BEYOND_MESSAGE = "space holds 2097152 images, cap is 1048576"
+BEYOND_ZERO = isp.ImageTensor(BEYOND, (0,))
+BEYOND_ENTRY_POINTS = {
+    "labels": lambda: sum_classifier(BEYOND).labels(),
+    "random-uniform": lambda: random_classifier(BEYOND, 2, "uniform", 0),
+    "random-balanced": lambda: random_classifier(BEYOND, 2, "balanced", 0),
+    "find_perturbation": lambda: perturb.find_perturbation(
+        sum_classifier(BEYOND), BEYOND_ZERO, 1.0, seed=0),
+    "failure_rate": lambda: perturb.failure_rate(
+        sum_classifier(BEYOND), 0, 1.0, 10, 0),
+    "nearest_cell_exhaustive": lambda: perturb.nearest_cell_exhaustive(
+        sum_classifier(BEYOND), [perturb.ContinuousPoint((0.5,))], 0),
+    "minimal_perturbation": lambda: perturb.minimal_perturbation(
+        sum_classifier(BEYOND), BEYOND_ZERO, 1),
+    "image_is_robust": lambda: rb.image_is_robust(
+        random_classifier(BEYOND, 2, "linear_threshold", 0), BEYOND_ZERO,
+        isp.PerturbationBudget(2, 0.5)),
+    "class_robust_fraction": lambda: rb.class_robust_fraction(
+        sum_classifier(BEYOND), 0, isp.PerturbationBudget(0, 1)),
+}
+
+
+class TestEnumerationBound:
+    def test_check_enumerable(self):
+        isp.check_enumerable(isp.SpaceParams(1, 1, 20))
+        with pytest.raises(SpaceTooLarge) as raised:
+            isp.check_enumerable(BEYOND)
+        assert str(raised.value) == BEYOND_MESSAGE
+
+    @pytest.mark.parametrize("entry", sorted(BEYOND_ENTRY_POINTS))
+    def test_every_entry_point_raises_space_too_large(self, entry):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge) as raised:
+                BEYOND_ENTRY_POINTS[entry]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == BEYOND_MESSAGE
+        assert peak < 1 << 20  # a 2^21-entry label array is 2 MiB or more
 
 
 class TestPerturbationBudget:

@@ -134,6 +134,22 @@ class TestClassRobustFraction:
         assert lo <= float(exact.fraction) <= hi
         assert mc.samples == 4000 and mc.seed == 5
 
+    @pytest.mark.parametrize("method", ["monte_carlo", "exhaustive"])
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_out_of_range(self, method, label):
+        # refused before any draw: rejection sampling for label 2 would
+        # otherwise spend MAX_REJECTIONS draws finding no member
+        def no_decide(image):
+            raise AssertionError("decide called")
+
+        from robustness_envelope.classifiers import ClassifierHandle
+        refusing = ClassifierHandle(params=P211, label_count=2,
+                                    decide=no_decide, kind="refusing",
+                                    spec="refusing")
+        with pytest.raises(ValueError, match=f"got {label}"):
+            rb.class_robust_fraction(refusing, label, PerturbationBudget(0, 1),
+                                     method=method, samples=3, seed=1)
+
     def test_monte_carlo_deterministic(self):
         a = rb.class_robust_fraction(SUM211, 0, PerturbationBudget(0, 1),
                                      method="monte_carlo", samples=500, seed=9)

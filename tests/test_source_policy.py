@@ -48,3 +48,27 @@ def test_generators_built_only_in_image_space():
     assert set(found) <= RNG_ALLOWED, found
     built = rng_constructions(SRC / "robustness_envelope" / "image_space.py")
     assert {name for _, _, name in built} == {"Philox", "Generator"}
+
+
+def test_one_enumeration_bound():
+    # The 2^20 bound is read only in image_space, and only enumerate_space
+    # takes a bound of its own (the dense oracle passes MATRIX_CAP to it).
+    readers, cap_params = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if "DEFAULT_ENUMERATION_CAP" in names:
+                readers.add(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                if any(a.arg == "cap" for a in
+                       args.posonlyargs + args.args + args.kwonlyargs):
+                    cap_params.append(
+                        f"{path.name}:{getattr(node, 'name', 'lambda')}")
+    assert readers == {"image_space.py"}
+    assert cap_params == ["image_space.py:enumerate_space"]

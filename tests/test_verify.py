@@ -268,7 +268,7 @@ class TestSlotKernels:
 
 class TestVacuousCounts:
     @pytest.mark.parametrize("field", ["random_subsets", "balanced_small",
-                                       "balanced_large"])
+                                       "balanced_large", "samples"])
     def test_config_rejects_zero(self, field):
         with pytest.raises(ValueError, match=field):
             verify.VerifyConfig(**{field: 0})
@@ -278,6 +278,7 @@ class TestVacuousCounts:
         ["verify", "hamming", "--subsets", "0"],
         ["verify", "theorem1", "--balanced-small", "0"],
         ["verify", "theorem1", "--balanced-large", "-3"],
+        ["verify", "all", "--samples", "0"],
     ])
     def test_cli_usage_error(self, argv, capsys):
         code = cli.main(argv)

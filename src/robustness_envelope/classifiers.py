@@ -48,19 +48,12 @@ class ClassifierHandle:
         """The label of every image, indexed by rank, in the smallest
         unsigned dtype that holds ``label_count - 1``.
 
-        Uses ``batch`` when the handle has one, else one ``decide`` per
-        image; a space beyond the enumeration bound raises
-        :class:`SpaceTooLarge` (:func:`check_enumerable`) before any label
-        is computed.
+        Uses ``batch`` when the handle has one, else :func:`labels_for`; a
+        space beyond the enumeration bound raises :class:`SpaceTooLarge`
+        (:func:`check_enumerable`) before any label is computed.
         """
-        params = self.params
-        check_enumerable(params)
-        if self.batch is not None:
-            labels = self.batch()
-        else:
-            labels = np.fromiter(
-                (self.decide(image) for image in enumerate_space(params)),
-                dtype=np.int64, count=params.total_images)
+        check_enumerable(self.params)
+        labels = labels_for(self) if self.batch is None else self.batch()
         if labels.size and not (0 <= labels.min()
                                 and labels.max() < self.label_count):
             raise ContractViolation(
@@ -75,6 +68,15 @@ class ClassSummary:
     label: int
     count: int
     interesting: bool
+
+
+def labels_for(classifier: ClassifierHandle) -> np.ndarray:
+    """Label of every image, indexed by rank, from one ``decide`` per
+    image."""
+    params = classifier.params
+    check_enumerable(params)  # before the array is allocated
+    return np.fromiter((classifier.decide(img) for img in enumerate_space(params)),
+                       dtype=np.int64, count=params.total_images)
 
 
 def label_dtype(label_count: int) -> np.dtype:

@@ -97,9 +97,5 @@ class BitDepthTooLarge(EnvelopeError):
     """Exact level-pair enumeration is capped at 16 bits of depth."""
 
 
-class DimensionTooLarge(EnvelopeError):
-    """The cell-walk search is limited to small flattened dimensions."""
-
-
 class NoOtherClass(EnvelopeError):
     """Every image in the space shares one label; no witness exists."""

@@ -11,14 +11,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     CoordinateOutOfRange,
+    EmptyClass,
     LevelOutOfRange,
     MalformedInput,
     ShapeMismatch,
@@ -69,7 +71,13 @@ class ImageTensor:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(int(v) for v in self.levels)
+        try:
+            levels = tuple(map(operator.index, self.levels))
+        except TypeError:
+            i, v = next((i, v) for i, v in enumerate(self.levels)
+                        if not hasattr(v, "__index__"))
+            raise LevelOutOfRange(
+                f"level {v!r} at index {i} is not an integer") from None
         if len(levels) != self.params.dimension:
             raise ShapeMismatch(
                 f"expected {self.params.dimension} levels, got {len(levels)}")
@@ -225,22 +233,20 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a * np.uint64(m), a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
 
 
-def philox_words(seed: int, indices, count: int, start: int = 0) -> np.ndarray:
-    """Raw 64-bit words ``start .. start + count`` of the streams ``indices``.
+def philox_words(seed: int, indices, count: int) -> np.ndarray:
+    """The first ``count`` raw 64-bit words of the streams ``indices``.
 
     Row ``j`` equals ``philox_rng(seed, indices[j]).bit_generator.random_raw
-    (start + count)[start:]``, computed for all rows at once: word ``w`` is
-    lane ``w % 4`` of Philox4x64-10 at counter ``w // 4 + 1`` (numpy
-    increments the counter before its first block) under the key
-    ``(seed, index)``.
+    (count)``, computed for all rows at once: word ``w`` is lane ``w % 4``
+    of Philox4x64-10 at counter ``w // 4 + 1`` (numpy increments the
+    counter before its first block) under the key ``(seed, index)``.
     """
     if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
         keys = indices.astype(np.uint64)  # wraps like ``index & _MASK64``
     else:
         keys = np.array([int(i) & _MASK64 for i in indices], dtype=np.uint64)
-    first, last = start // 4, (start + count + 3) // 4
-    shape = (len(keys), last - first)
-    c0 = np.broadcast_to(np.arange(first + 1, last + 1, dtype=np.uint64), shape)
+    shape = (len(keys), (count + 3) // 4)
+    c0 = np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape)
     c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
     k0, k1 = seed & _MASK64, keys[:, None]
     for round_ in range(_PHILOX_ROUNDS):
@@ -251,7 +257,7 @@ def philox_words(seed: int, indices, count: int, start: int = 0) -> np.ndarray:
         lo1, hi1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
     words = np.stack((c0, c1, c2, c3), axis=2).reshape(len(keys), 4 * shape[1])
-    return words[:, start - 4 * first:start - 4 * first + count]
+    return words[:, :count]
 
 
 def sample_uniform(params: SpaceParams, seed: int, index: int = 0,
@@ -261,6 +267,20 @@ def sample_uniform(params: SpaceParams, seed: int, index: int = 0,
         rng = philox_rng(seed, index)
     levels = rng.integers(0, params.level_count, size=params.dimension)
     return ImageTensor(params, tuple(int(v) for v in levels))
+
+
+def sample_member(params: SpaceParams, rng: np.random.Generator,
+                  decide: Callable[[ImageTensor], int], label: int,
+                  seed: int, index: int) -> ImageTensor:
+    """The first :func:`sample_uniform` draw from ``rng``, the stream
+    ``philox_rng(seed, index)``, that ``decide`` labels ``label``; raises
+    :class:`EmptyClass` after ``MAX_REJECTIONS`` draws."""
+    for _ in range(MAX_REJECTIONS):
+        image = sample_uniform(params, 0, rng=rng)
+        if decide(image) == label:
+            return image
+    raise EmptyClass(f"no member of label {label} after {MAX_REJECTIONS} "
+                     f"draws of stream ({seed}, {index})")
 
 
 def encode_image(image: ImageTensor) -> bytes:

@@ -15,15 +15,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classifiers import ClassifierHandle, sum_classifier
+from .classifiers import ClassifierHandle, labels_for, sum_classifier
 from .errors import (
     ContractViolation,
-    DimensionTooLarge,
     EmptyClass,
     NoOtherClass,
     ShapeMismatch,
@@ -40,16 +38,15 @@ from .image_space import (
     norm_distance,
     philox_rng,
     philox_words,
+    sample_member,
 )
 from .mcstats import wilson_ci
 
-DEFAULT_DIMENSION_CAP = 12
 # cell distances the full-enumeration oracle holds at once: 32 points of a
 # 256-cell space
 _ORACLE_CHUNK_CELLS = 1 << 13
-# raw Philox words failure_rate's decoder holds at once, and streams per chunk
+# raw Philox words failure_rate's decoder holds at once
 _DRAW_WORDS = 1 << 13
-_DRAW_STREAMS = 1 << 10
 # images one walk keeps by rank for its later samples
 _IMAGES_KEPT = 1 << 12
 
@@ -135,13 +132,6 @@ def _check_norm(p: int) -> None:
         raise ValueError(f"p must be >= 0, got {p}")
 
 
-def _check_caps(params: SpaceParams) -> None:
-    if params.dimension > DEFAULT_DIMENSION_CAP:
-        raise DimensionTooLarge(
-            f"dimension {params.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    check_enumerable(params)  # a space has as many cells as images
-
-
 def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
                       radius: float, seed: int | None = None,
                       rng: np.random.Generator | None = None, *,
@@ -163,7 +153,6 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     params = image.params
     if params != classifier.params:
         raise ShapeMismatch(f"image in {params}, classifier on {classifier.params}")
-    _check_caps(params)
     if rng is None:
         rng = philox_rng(0 if seed is None else seed)
     if label_cache is None:
@@ -205,8 +194,8 @@ class _CellWalk:
     def from_point(self, image: ImageTensor, coords: Sequence[float],
                    base_label: int, radius: float) -> PerturbationOutcome:
         """Walk from the point ``coords`` of ``image``'s cell (see
-        :func:`find_perturbation`); the radius and caps are checked by the
-        caller."""
+        :func:`find_perturbation`); the radius and the space's size are
+        checked by the caller."""
         params, labels, bounds = self.params, self.labels, self.bounds
         r2 = float(radius) * float(radius)
         q = params.level_count
@@ -288,20 +277,16 @@ def nearest_cell_exhaustive(
     ``(inf, None)`` if there is none; equidistant cells tie-break
     lexicographically.  Independent of the pruned walk.
 
-    Every cell is labelled by one ``decide`` call per call of the oracle.
-    Per coordinate, a table holds each level's squared gap from the point,
+    Every cell is labelled by one ``decide`` call per call of the oracle
+    (:func:`labels_for`).  Per coordinate, a table holds each level's squared gap from the point,
     by the walk's float expressions; the tables are added in coordinate
     order, first coordinate most significant, so each cell's sum is the
     walk's ``partial + d2`` and its position is its rank.  The first
     smallest unmasked sum is then the lexicographically first nearest cell.
     """
     params = classifier.params
-    _check_caps(params)
+    masked = labels_for(classifier) == base_label
     q, total = params.level_count, params.total_images
-    masked = np.fromiter(
-        (classifier.decide(ImageTensor(params, levels)) == base_label
-         for levels in product(range(q), repeat=params.dimension)),
-        dtype=bool, count=total)
     lo = np.array([cell_bounds(params, level)[0] for level in range(q)])
     hi = np.array([cell_bounds(params, level)[1] for level in range(q)])
     results = []
@@ -350,7 +335,6 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_radius(radius)
-    _check_caps(classifier.params)
     walk = _CellWalk(classifier, classifier.labels())
     failures = 0
     for image, coords in _class_draws(walk, label, samples, seed):
@@ -372,11 +356,10 @@ def _class_draws(walk: _CellWalk, label: int, samples: int,
     2^b divides 2^32.  After the accepted attempt a left-over high half is
     skipped, and coordinate ``i`` of the point is
     ``lo + (hi - lo) * ((word >> 11) * 2^-53)`` of one whole word, that is
-    ``Generator.uniform(lo, hi)`` on the coordinate's cell.  Streams are
-    decoded a chunk at a time; a stream whose attempts run past its words
-    gets the next words.  Raises :class:`EmptyClass`, after yielding every
-    earlier sample, at the first stream with no member in
-    ``MAX_REJECTIONS`` attempts.
+    ``Generator.uniform(lo, hi)`` on the coordinate's cell.  A stream with
+    no member in its decoded window is drawn again, the same draws, by
+    :func:`sample_member` and :func:`sample_point_in_cell`, which raises
+    :class:`EmptyClass` after every earlier sample is yielded.
     """
     labels = np.asarray(walk.labels)
     members = int(np.count_nonzero(labels == label))
@@ -387,52 +370,37 @@ def _class_draws(walk: _CellWalk, label: int, samples: int,
     weights = params.level_count ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     lo = np.array([lo for lo, _, _ in walk.bounds])
     width = np.array([hi for _, hi, _ in walk.bounds]) - lo
-    # attempts per stream in the first window: about four expected
-    # rejection runs; later windows double, within the word budget
-    first = min(MAX_REJECTIONS, 4 * params.total_images // members + 1)
-    most = max(1, 2 * (_DRAW_WORDS - dim - 2) // dim)
-    for begin in range(0, samples, _DRAW_STREAMS):
-        indices = np.arange(begin, min(samples, begin + _DRAW_STREAMS),
-                            dtype=np.uint64)
-        ranks = np.empty(len(indices), dtype=np.int64)
-        coords = np.empty((len(indices), dim))
-        pending = np.arange(len(indices))
-        attempt, window = 0, first
-        while len(pending) and attempt < MAX_REJECTIONS:
-            window = min(window, most, MAX_REJECTIONS - attempt)
-            w0 = attempt * dim // 2
-            h0 = attempt * dim - 2 * w0
-            count = ((attempt + window) * dim + 1) // 2 + dim - w0
-            per = max(1, _DRAW_WORDS // count)
-            left = []
-            for at in range(0, len(pending), per):
-                rows = pending[at:at + per]
-                words = philox_words(seed, indices[rows], count, w0)
-                halves = words.astype("<u8", copy=False).view("<u4")
-                tried = (halves[:, h0:h0 + window * dim] >> shift).reshape(
-                    len(rows), window, dim)
-                tried_ranks = tried @ weights
-                hit = labels[tried_ranks] == label
-                found = np.flatnonzero(hit.any(axis=1))
-                accepted = hit[found].argmax(axis=1)
-                chosen = tried[found, accepted]
-                # the point's words follow the accepted attempt's last half
-                point_at = ((attempt + accepted + 1) * dim + 1) // 2 - w0
-                point = words[found[:, None], point_at[:, None] + np.arange(dim)]
-                ranks[rows[found]] = tried_ranks[found, accepted]
-                coords[rows[found]] = lo[chosen] + width[chosen] * (
-                    (point >> 11) * 2.0 ** -53)
-                left.append(np.delete(rows, found))
-            pending = np.concatenate(left)
-            attempt += window
-            window *= 2
-        stop = int(pending[0]) if len(pending) else len(indices)
-        for rank, point in zip(ranks[:stop].tolist(), coords[:stop].tolist()):
-            yield walk.image(rank), point
-        if stop < len(indices):
-            raise EmptyClass(
-                f"no member of label {label} after {MAX_REJECTIONS} draws "
-                f"of stream ({seed}, {begin + stop})")
+    # attempts per stream: about four expected rejection runs, within the
+    # rejection limit and the word budget
+    window = min(MAX_REJECTIONS, 4 * params.total_images // members + 1,
+                 max(1, 2 * (_DRAW_WORDS - dim - 2) // dim))
+    count = (window * dim + 1) // 2 + dim
+    per = max(1, _DRAW_WORDS // count)
+    for begin in range(0, samples, per):
+        stop = min(samples, begin + per)
+        words = philox_words(seed, np.arange(begin, stop, dtype=np.uint64),
+                             count)
+        rows = np.arange(stop - begin)
+        halves = words.astype("<u8", copy=False).view("<u4")[:, :window * dim]
+        tried = (halves >> shift).reshape(len(rows), window, dim)
+        tried_ranks = tried @ weights
+        hit = labels[tried_ranks] == label
+        accepted = hit.argmax(axis=1)
+        chosen = tried[rows, accepted]
+        # the point's words follow the accepted attempt's last half
+        point_at = ((accepted + 1) * dim + 1) // 2
+        point = words[rows[:, None], point_at[:, None] + np.arange(dim)]
+        coords = lo[chosen] + width[chosen] * ((point >> 11) * 2.0 ** -53)
+        for index, found, rank, point in zip(
+                range(begin, stop), hit[rows, accepted].tolist(),
+                tried_ranks[rows, accepted].tolist(), coords.tolist()):
+            if found:
+                yield walk.image(rank), point
+            else:
+                rng = philox_rng(seed, index)
+                member = sample_member(params, rng, walk.classifier.decide,
+                                       label, seed, index)
+                yield member, list(sample_point_in_cell(member, rng).coords)
 
 
 def _search_result(params: SpaceParams, p: int, pow_sum: int,

@@ -30,6 +30,7 @@ from . import exactmath, hamming, perturb
 from .classifiers import (
     ClassifierHandle,
     is_interesting,
+    labels_for,
     level_sum_pmf,
     sum_class0_max_level_sum,
 )
@@ -38,9 +39,9 @@ from .errors import (
     ContractViolation,
     EmptyClass,
     PreconditionViolated,
+    SpaceTooLarge,
 )
 from .image_space import (
-    MAX_REJECTIONS,
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
@@ -48,7 +49,7 @@ from .image_space import (
     enumerate_space,
     level_diff_pow_sum,
     philox_rng,
-    sample_uniform,
+    sample_member,
 )
 from .mcstats import wilson_ci
 
@@ -114,14 +115,6 @@ def _diff_pow_matrix(params: SpaceParams, p: int) -> np.ndarray:
         else:
             out[i] = (diff ** p).sum(axis=1)
     return out
-
-
-def labels_for(classifier: ClassifierHandle) -> np.ndarray:
-    """Label of every image, indexed by rank."""
-    params = classifier.params
-    check_enumerable(params)  # before the array is allocated
-    return np.fromiter((classifier.decide(img) for img in enumerate_space(params)),
-                       dtype=np.int64, count=params.total_images)
 
 
 def level_threshold(params: SpaceParams, budget: PerturbationBudget) -> int:
@@ -291,7 +284,8 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
     """Robust fraction of one class: exact enumeration or Monte Carlo.
 
     A label outside ``[0, label_count)`` is a ``ValueError``, raised before
-    any image is labelled or drawn.
+    any image is labelled or drawn; on an enumerable space, so is an empty
+    class.  Monte Carlo draws member ``index`` by :func:`sample_member`.
     """
     params = classifier.params
     if not 0 <= label < classifier.label_count:
@@ -313,16 +307,15 @@ def class_robust_fraction(classifier: ClassifierHandle, label: int,
             raise ValueError("monte_carlo needs samples >= 1")
         if seed is None:
             raise ValueError("monte_carlo needs a seed")
+        try:
+            if label not in classifier.labels():
+                raise EmptyClass(f"label {label} has no members")
+        except SpaceTooLarge:
+            pass  # beyond the bound, the rejection limit decides
         robust_count = 0
         for index in range(samples):
-            rng = philox_rng(seed, index)
-            for _ in range(MAX_REJECTIONS):
-                member = sample_uniform(params, 0, rng=rng)
-                if classifier.decide(member) == label:
-                    break
-            else:
-                raise EmptyClass(
-                    f"no member of label {label} after {MAX_REJECTIONS} draws")
+            member = sample_member(params, philox_rng(seed, index),
+                                   classifier.decide, label, seed, index)
             if image_is_robust(classifier, member, budget):
                 robust_count += 1
         return RobustnessReport(

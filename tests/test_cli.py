@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from robustness_envelope import cli, exactmath, verify
+from robustness_envelope import cli, exactmath, image_space, verify
 from robustness_envelope.image_space import ImageTensor, SpaceParams, encode_image
 
 
@@ -248,6 +248,19 @@ class TestEstimate:
                                  "--samples", "3", "--seed", "1")
         assert code == 2 and out == ""
         assert "error: space holds 2097152 images, cap is 1048576" in err
+
+    def test_empty_class_exits_2_before_any_draw(self, capsys, monkeypatch):
+        # labels [1, 1]: no image wears label 2
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an image")
+
+        monkeypatch.setattr(image_space, "sample_uniform", no_draw)
+        code, out, err = run_cli(capsys, "estimate", "--n", "1", "--h", "1",
+                                 "--b", "1", "--classifier", "uniform:1:3",
+                                 "--label", "2", "--norm", "0", "--size", "1",
+                                 "--samples", "3", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: label 2 has no members\n"
 
     def test_seed_reproducibility_byte_identical(self, capsys):
         args = ("estimate", "--n", "2", "--h", "1", "--b", "1", "--norm", "0",

@@ -107,12 +107,11 @@ class TestDecoding:
             assert got == reference_draws(classifier, label, 300, 21)
 
     def test_chunks_and_windows(self, monkeypatch):
-        # a small word budget forces one attempt per window and windows of
-        # a few streams; a small chunk splits the samples
+        # a small word budget gives a window of 7 attempts and one stream a
+        # chunk, so the streams with no member in the window are replayed
         classifier = parse_classifier_spec("linthresh:0", SpaceParams(3, 1, 1))
         want = reference_draws(classifier, 0, 150, 8)
         monkeypatch.setattr(pt, "_DRAW_WORDS", 16)
-        monkeypatch.setattr(pt, "_DRAW_STREAMS", 7)
         walk = pt._CellWalk(classifier, classifier.labels())
         got = [(member.levels, point) for member, point
                in pt._class_draws(walk, 0, 150, 8)]
@@ -134,8 +133,8 @@ class TestAgainstOracle:
                                           for _, outcome in want)
 
     def test_rare_class_needs_more_words(self):
-        # 2 members of 256: about 128 draws a member, and the first window
-        # of 513 attempts runs out on a few streams
+        # 2 members of 256: about 128 draws a member, and the window of 513
+        # attempts runs out on a few streams, which are replayed
         params = SpaceParams(2, 1, 2)
         classifier = rare_classifier(params, (37, 200))
         want = failure_rate_oracle(classifier, 0, 1.0, 160, 12)
@@ -146,7 +145,6 @@ class TestAgainstOracle:
         classifier = rare_classifier(params, (3, 77, 150))
         want = failure_rate_oracle(classifier, 0, 0.5, 40, 2)
         monkeypatch.setattr(pt, "_DRAW_WORDS", 40)
-        monkeypatch.setattr(pt, "_DRAW_STREAMS", 9)
         assert batch_outcomes(classifier, 0, 0.5, 40, 2) == want
 
 
@@ -154,13 +152,15 @@ class TestRejectionLimit:
     @pytest.mark.parametrize("chunk", [1 << 12, 3])
     def test_empty_class_at_the_oracle_stream(self, monkeypatch, chunk):
         # 8 members of 256 and 40 draws: about 28 % of streams find none;
-        # at seed 1 stream 11 is the first, in the fourth chunk of 3
+        # at seed 1 stream 11 is the first, in the fourth chunk of 3.  A
+        # stream takes 84 words: 40 attempts of 4 levels, then a point.
         params = SpaceParams(2, 1, 2)
         classifier = rare_classifier(params, range(0, 256, 32))
         with pytest.raises(EmptyClass, match=r"stream \(1, 11\)"):
             failure_rate_oracle(classifier, 0, 1.0, 50, 1, max_rejections=40)
         monkeypatch.setattr(pt, "MAX_REJECTIONS", 40)
-        monkeypatch.setattr(pt, "_DRAW_STREAMS", chunk)
+        monkeypatch.setattr(image_space, "MAX_REJECTIONS", 40)
+        monkeypatch.setattr(pt, "_DRAW_WORDS", 84 * chunk)
         with pytest.raises(EmptyClass,
                            match=r"after 40 draws of stream \(1, 11\)$"):
             pt.failure_rate(classifier, 0, 1.0, 50, 1)
@@ -170,6 +170,7 @@ class TestRejectionLimit:
         classifier = rare_classifier(params, range(0, 256, 32))
         want = reference_draws(classifier, 0, 11, 1)
         monkeypatch.setattr(pt, "MAX_REJECTIONS", 40)
+        monkeypatch.setattr(image_space, "MAX_REJECTIONS", 40)
         walk = pt._CellWalk(classifier, classifier.labels())
         draws = pt._class_draws(walk, 0, 50, 1)
         assert [(member.levels, point)

@@ -14,7 +14,6 @@ from robustness_envelope.classifiers import (
 )
 from robustness_envelope.errors import (
     ContractViolation,
-    DimensionTooLarge,
     EmptyClass,
     NoOtherClass,
 )
@@ -98,11 +97,33 @@ class TestFindPerturbation:
             pt.find_perturbation(drifting, ImageTensor(P111, (0,)), 0.6, seed=1)
         assert calls[0] == P111.total_images + 1
 
-    def test_dimension_cap(self):
-        big = SpaceParams(4, 1, 1)  # dimension 16
-        with pytest.raises(DimensionTooLarge):
-            pt.find_perturbation(sum_classifier(big),
-                                 ImageTensor(big, (0,) * 16), 1.0, seed=0)
+    @pytest.mark.parametrize("spec", ["sum", "linthresh:0"])
+    def test_dimension_16_equals_oracle(self, spec):
+        # (4,1,1) holds 65,536 cells; the walk recurses 16 deep.  Seed 3's
+        # first 20 class-0 draws fail at some radii and succeed at others.
+        big = SpaceParams(4, 1, 1)
+        c = parse_classifier_spec(spec, big)
+        members, points = [], []
+        for index in range(20):
+            rng = philox_rng(3, index)
+            member = sample_uniform(big, 0, rng=rng)
+            while c.decide(member) != 0:
+                member = sample_uniform(big, 0, rng=rng)
+            members.append(member)
+            points.append(pt.sample_point_in_cell(member, rng))
+        nearest = pt.nearest_cell_exhaustive(c, points, 0)
+        label_cache = {}
+        for radius in (0.05, 0.1, 0.2):
+            for member, point, (d2, cell) in zip(members, points, nearest):
+                out = pt.find_perturbation(c, member, radius,
+                                           rng=_Replay(point.coords),
+                                           label_cache=label_cache)
+                assert out.succeeded == (d2 <= radius * radius)
+                if out.succeeded:
+                    assert out.result.levels == cell
+            report = pt.failure_rate(c, 0, radius, 20, 3)
+            assert report.failures == sum(d2 > radius * radius
+                                          for d2, _ in nearest)
 
     def test_completeness_against_full_scan(self):
         c = random_classifier(P212, 2, "balanced", 21)

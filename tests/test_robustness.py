@@ -126,6 +126,20 @@ class TestClassRobustFraction:
         with pytest.raises(EmptyClass):
             rb.class_robust_fraction(constant, 1, PerturbationBudget(0, 1))
 
+    def test_monte_carlo_empty_class_beyond_the_bound(self, monkeypatch):
+        # 2^21 images cannot be labelled, so the rejection limit decides
+        from robustness_envelope import image_space
+        from robustness_envelope.classifiers import ClassifierHandle
+        big = SpaceParams(1, 1, 21)
+        constant = ClassifierHandle(params=big, label_count=2,
+                                    decide=lambda image: 0, kind="constant",
+                                    spec="constant")
+        monkeypatch.setattr(image_space, "MAX_REJECTIONS", 5)
+        with pytest.raises(EmptyClass, match=r"^no member of label 1 after 5 "
+                                             r"draws of stream \(3, 0\)$"):
+            rb.class_robust_fraction(constant, 1, PerturbationBudget(0, 1),
+                                     "monte_carlo", samples=2, seed=3)
+
     def test_monte_carlo_matches_exact(self):
         exact = rb.class_robust_fraction(SUM211, 0, PerturbationBudget(0, 1))
         mc = rb.class_robust_fraction(SUM211, 0, PerturbationBudget(0, 1),

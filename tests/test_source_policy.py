@@ -72,3 +72,22 @@ def test_one_enumeration_bound():
                         f"{path.name}:{getattr(node, 'name', 'lambda')}")
     assert readers == {"image_space.py"}
     assert cap_params == ["image_space.py:enumerate_space"]
+
+
+def test_every_error_class_is_raised():
+    # A deletion that leaves its exception class behind fails here.
+    tree = ast.parse((SRC / "robustness_envelope" / "errors.py").read_text())
+    family = {"EnvelopeError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in family
+                for base in node.bases):
+            family.add(node.name)
+    defined = family - {"EnvelopeError"}
+    raised = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert defined and sorted(defined - raised) == []

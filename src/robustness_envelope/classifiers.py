@@ -207,13 +207,15 @@ def random_classifier(params: SpaceParams, label_count: int, kind: str,
                       seed: int) -> ClassifierHandle:
     """Seeded random classifier of one of three kinds.
 
-    ``uniform`` labels every image independently; ``balanced`` partitions
-    the space into classes whose sizes differ by at most one; both require
+    ``uniform`` labels every image independently; ``balanced`` splits the
+    space into two classes whose sizes differ by at most one; both require
     an enumerable space.  ``linear_threshold`` draws Gaussian weights and
     a threshold over flattened values and works on any space.
     """
     if label_count < 2:
         raise ValueError(f"label_count must be >= 2, got {label_count}")
+    if kind in ("balanced", "linear_threshold") and label_count != 2:
+        raise ValueError(f"{kind} supports exactly 2 labels")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         check_enumerable(params)
@@ -228,8 +230,6 @@ def random_classifier(params: SpaceParams, label_count: int, kind: str,
         return _materialized(params, labels, label_count, kind,
                              f"balanced:{seed}")
     if kind == "linear_threshold":
-        if label_count != 2:
-            raise ValueError("linear_threshold supports exactly 2 labels")
         weights = rng.standard_normal(params.dimension)
         threshold = float(weights @ rng.random(params.dimension))
         return linear_threshold_classifier(params, weights, threshold,

@@ -426,26 +426,6 @@ def anti_concentration_holds(n: int, levels2k: int, t: Fraction | float) -> bool
     return gap * gap * n < 4 * t * t
 
 
-def floor_plus_c_sqrt(c: Fraction | float, m: int, add: int = 0) -> int:
-    """Largest integer ``<= c*sqrt(m) + add``, decided with exact arithmetic.
-
-    Comparisons against ``c*sqrt(m)`` are made by squaring, so float
-    rounding near integer boundaries cannot flip the floor.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    c2m = c * c * m
-    t = max(0, int(math.isqrt(int(c2m))) - 2)  # t <= c*sqrt(m) candidate
-    while Fraction((t + 1) ** 2) <= c2m:
-        t += 1
-    while t > 0 and Fraction(t * t) > c2m:
-        t -= 1
-    return t + add
-
-
 def tail_ratio_monotone_violations(
         n_max: int, k_max: int,
         p_values: Sequence[Fraction]) -> tuple[list[tuple], float]:

@@ -304,27 +304,62 @@ class HamgraphTheoremCheck:
     holds: bool
 
 
-def check_hamgraph_theorem(s: HammingSubset, c: float) -> HamgraphTheoremCheck:
-    """Check ``|Int^r(S)| / |S| < 2 e^{-2c^2}`` with ``r = floor(c sqrt(n) + 2)``.
+def interior_ratio_cases(dims: int, c_values) -> list[tuple]:
+    """``(c, radius, float bound)`` of theorem 1 for each c on ``dims``
+    coordinates: ``radius = floor(c sqrt(dims)) + 2``, exact because
+    ``floor(sqrt(x)) = isqrt(floor(x))``, and ``bound = 2 e^{-2c^2}``."""
+    cases = []
+    for c in c_values:
+        if c <= 0:
+            raise ValueError(f"c must be positive, got {c}")
+        radius = math.isqrt(math.floor(Fraction(c) ** 2 * dims)) + 2
+        x = float(c)
+        cases.append((c, radius, 2.0 * math.exp(-2.0 * x * x)))
+    return cases
 
-    Requires a nonempty subset no larger than half the graph.  The radius
-    floor and the final strict comparison are both decided exactly.
+
+def interior_ratio_holds(interiors: np.ndarray, sizes: np.ndarray,
+                         cases) -> tuple[np.ndarray, np.ndarray]:
+    """Float margins ``bound - interior/size`` and the verdicts
+    ``interior/size < 2 e^{-2c^2}`` of each set (row) at each case (column).
+
+    The ratio is at most 1 and correctly rounded; the float bound is at
+    most 2 and within ``(|x| + 2) 2^-53`` of the exact one relative, x the
+    exponent ``-2c^2`` (``3|x| + 2`` for a c that is not a float).  So the
+    float margin is within 2^-49 of the exact one for every c, and a
+    margin above 1e-9 decides by float.  Every other entry goes to the
+    certified comparison, in row-major order.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    interiors = np.asarray(interiors)
+    sizes = np.asarray(sizes).reshape(-1, 1)
+    margins = (np.array([bound for _, _, bound in cases], dtype=np.float64)
+               - interiors / sizes)
+    holds = margins > 1e-9
+    for row, col in np.argwhere(~holds):
+        c = cases[col][0]
+        holds[row, col] = exactmath.compare_scaled_exp(
+            Fraction(int(interiors[row, col]), int(sizes[row, 0])),
+            Fraction(2), -2 * Fraction(c) ** 2) < 0
+    return margins, holds
+
+
+def check_hamgraph_theorem(s: HammingSubset, c: float) -> HamgraphTheoremCheck:
+    """Check ``|Int^r(S)| / |S| < 2 e^{-2c^2}`` at theorem 1's radius
+    (:func:`interior_ratio_cases`), decided by :func:`interior_ratio_holds`.
+
+    Requires a nonempty subset no larger than half the graph.
+    """
+    [case] = interior_ratio_cases(s.graph.dims, [c])
     count = s.graph.vertex_count
     if s.size < 1 or 2 * s.size > count:
         raise NotInterestingSubset(
             f"subset size {s.size} outside [1, {count // 2}]")
-    radius = exactmath.floor_plus_c_sqrt(c, s.graph.dims, add=2)
-    interior = interior_k(s, radius)
-    ratio = Fraction(interior.size, s.size)
-    exponent = Fraction(-2) * Fraction(c) * Fraction(c)
-    holds = exactmath.compare_scaled_exp(ratio, Fraction(2), exponent) < 0
-    bound = 2.0 * math.exp(-2.0 * float(c) ** 2)
-    return HamgraphTheoremCheck(subset_size=s.size, radius=radius,
-                                interior_size=interior.size, ratio=ratio,
-                                bound=bound, holds=holds)
+    interior = interior_k(s, case[1]).size
+    _, holds = interior_ratio_holds([[interior]], [s.size], [case])
+    return HamgraphTheoremCheck(subset_size=s.size, radius=case[1],
+                                interior_size=interior,
+                                ratio=Fraction(interior, s.size),
+                                bound=case[2], holds=bool(holds[0, 0]))
 
 
 @dataclass(frozen=True)

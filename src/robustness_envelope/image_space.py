@@ -192,12 +192,9 @@ def check_enumerable(params: SpaceParams) -> None:
                             f"cap is {DEFAULT_ENUMERATION_CAP}")
 
 
-def enumerate_space(params: SpaceParams,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[ImageTensor]:
+def enumerate_space(params: SpaceParams) -> Iterator[ImageTensor]:
     """Yield every image exactly once in lexicographic level order."""
-    if params.total_images > cap:
-        raise SpaceTooLarge(
-            f"space holds {params.total_images} images, cap is {cap}")
+    check_enumerable(params)
     for levels in itertools.product(range(params.level_count),
                                     repeat=params.dimension):
         yield ImageTensor(params, levels)

@@ -45,7 +45,6 @@ from .image_space import (
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
-    check_enumerable,
     enumerate_space,
     level_diff_pow_sum,
     philox_rng,
@@ -104,7 +103,10 @@ def _diff_pow_matrix(params: SpaceParams, p: int) -> np.ndarray:
     if params.dimension * params.max_level ** p >= 2 ** 63:
         raise PreconditionViolated(
             f"level distances at p = {p} overflow int64 in {params}")
-    levels = np.array([img.levels for img in enumerate_space(params, MATRIX_CAP)],
+    if params.total_images > MATRIX_CAP:
+        raise SpaceTooLarge(f"space holds {params.total_images} images, "
+                            f"cap is {MATRIX_CAP}")
+    levels = np.array([img.levels for img in enumerate_space(params)],
                       dtype=np.int64)
     n = len(levels)
     out = np.empty((n, n), dtype=np.int64)
@@ -209,7 +211,6 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
         # for p = 1 `exact` is the distance, beyond that its p-th power
         attack = perturb.attack_sum_classifier(image, budget.p)
         return attack.exact > budget.exact_size_pow()
-    check_enumerable(params)
     threshold = level_threshold(params, budget)
     for other in enumerate_space(params):
         if (level_diff_pow_sum(image, other, budget.p) <= threshold
@@ -405,31 +406,31 @@ def theorem1_holds(classifier: ClassifierHandle,
     """Exhaustive check of the universal non-robustness bound.
 
     For every interesting class and every c: the robust fraction at the
-    count-norm budget ``floor(c sqrt(h) n + 2)`` must be strictly below
-    ``2 e^{-2 c^2}``.  The budget floor and the strict comparison are both
-    decided exactly.
+    count-norm budget ``floor(c sqrt(h) n) + 2`` must be strictly below
+    ``2 e^{-2 c^2}``, decided by :func:`hamming.interior_ratio_holds` on
+    the cases of :func:`hamming.interior_ratio_cases`.
     """
     params = classifier.params
-    budgets = [exactmath.floor_plus_c_sqrt(c, params.h * params.n ** 2, add=2)
-               for c in c_values]
+    cases = hamming.interior_ratio_cases(params.h * params.n ** 2, c_values)
     labels, verdicts = _exhaustive(
-        classifier, [PerturbationBudget(0, budget) for budget in budgets])
+        classifier, [PerturbationBudget(0, radius) for _, radius, _ in cases])
     counts = np.bincount(labels, minlength=classifier.label_count)
     interesting = [label for label, count in enumerate(counts)
                    if is_interesting(int(count), params)]
+    robust = np.array(
+        [np.bincount(labels[flags], minlength=classifier.label_count)
+         for flags in verdicts], dtype=np.int64
+    ).reshape(len(cases), classifier.label_count)[:, interesting].T
+    sizes = counts[interesting]
+    margins, holds = hamming.interior_ratio_holds(robust, sizes, cases)
     entries = []
-    for c, budget, flags in zip(c_values, budgets, verdicts):
-        exponent = Fraction(-2) * Fraction(c) * Fraction(c)
-        bound = 2.0 * math.exp(-2.0 * float(c) ** 2)
-        for label in interesting:
-            members = labels == label
-            fraction = Fraction(int((flags & members).sum()), int(members.sum()))
-            holds = exactmath.compare_scaled_exp(fraction, Fraction(2), exponent) < 0
+    for col, (c, budget, bound) in enumerate(cases):
+        for row, label in enumerate(interesting):
             entries.append(Theorem1Entry(
                 label=label, c=float(c), budget=budget,
-                class_size=int(members.sum()),
-                robust_count=int((flags & members).sum()),
-                fraction=fraction, bound=bound,
-                margin=bound - float(fraction), holds=holds))
+                class_size=int(sizes[row]), robust_count=int(robust[row, col]),
+                fraction=Fraction(int(robust[row, col]), int(sizes[row])),
+                bound=bound, margin=float(margins[row, col]),
+                holds=bool(holds[row, col])))
     return Theorem1Report(classifier=classifier.spec, space=params,
                           entries=tuple(entries))

@@ -139,15 +139,6 @@ def suite_binomial(cfg: VerifyConfig) -> SuiteReport:
 _C_GRID = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
-def _hamgraph_cases(dims: int) -> list[tuple[float, int, float]]:
-    """(c, radius, float bound) for the standard c grid on one graph."""
-    out = []
-    for c in _C_GRID:
-        radius = exactmath.floor_plus_c_sqrt(c, dims, add=2)
-        out.append((c, radius, 2.0 * math.exp(-2.0 * c * c)))
-    return out
-
-
 # Subsets packed into one integer per expansion step.  4096 ran no faster
 # and raised the suite's peak RSS by about 1 MiB more.
 _CHUNK = 2048
@@ -186,44 +177,23 @@ def _interior_sizes(graph: hamming.GraphParams, rows: np.ndarray,
     return sizes
 
 
-def _check_interior_ratio(sizes: np.ndarray, cases) -> tuple[float, Optional[tuple]]:
-    """Worst margin up to the first counterexample, and its (row, c) or None.
-
-    Float margins decide every entry outside the 1e-9 guard band; the
-    rest are decided by the certified comparison, in row-major order.
-    """
-    subset_sizes = sizes[:, :1]
-    interiors = sizes[:, [radius for _, radius, _ in cases]]
-    margins = np.array([bound for _, _, bound in cases]) - interiors / subset_sizes
-
-    def failed():
-        for row, col in np.argwhere(margins <= 1e-9):
-            c = cases[col][0]
-            cmp = exactmath.compare_scaled_exp(
-                Fraction(int(interiors[row, col]), int(subset_sizes[row, 0])),
-                Fraction(2), Fraction(-2) * Fraction(c) * Fraction(c))
-            if cmp >= 0:
-                yield row, col
-
-    worst, bad = _first_failure(margins, failed())
-    return worst, None if bad is None else (bad[0], cases[bad[1]][0])
-
-
 def _sweep_interior_ratio(check_id: str, graph: hamming.GraphParams, chunks,
                           detail: str) -> CheckResult:
-    cases = _hamgraph_cases(graph.dims)
-    max_radius = max(radius for _, radius, _ in cases)
+    cases = hamming.interior_ratio_cases(graph.dims, _C_GRID)
+    radii = [radius for _, radius, _ in cases]
     masks = hamming._slot_masks(graph.dims, graph.alphabet, _CHUNK)
     worst = math.inf
     for rows in chunks:
-        seen, bad = _check_interior_ratio(
-            _interior_sizes(graph, rows, max_radius, masks), cases)
+        sizes = _interior_sizes(graph, rows, max(radii), masks)
+        margins, holds = hamming.interior_ratio_holds(sizes[:, radii],
+                                                      sizes[:, 0], cases)
+        seen, bad = _first_failure(margins, np.argwhere(~holds))
         worst = min(worst, seen)
         if bad is not None:
             return CheckResult(
                 check_id, False, worst,
                 f"counterexample bits={hamming._pack_slots(rows[bad[0]]):#x} "
-                f"at c={bad[1]}")
+                f"at c={cases[bad[1]][0]}")
     return CheckResult(check_id, True, worst, detail)
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustness_envelope import exactmath as em
+from robustness_envelope import hamming as hm
 from robustness_envelope.errors import (
     AsymmetricY,
     NoSolution,
@@ -591,14 +592,19 @@ class TestCertifiedCompare:
             em.compare_scaled_exp(close_to_e, Fraction(1), Fraction(1))
 
 
+def radius(c, m):
+    """Theorem 1's radius floor(c sqrt(m)) + 2 on m coordinates."""
+    [(_, r, _)] = hm.interior_ratio_cases(m, [c])
+    return r
+
+
 class TestFloorPlusCSqrt:
     def test_matches_float_on_safe_cases(self):
         for c in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
             for m in (4, 6, 16, 81):
-                assert em.floor_plus_c_sqrt(c, m, add=2) == int(
-                    math.floor(c * math.sqrt(m) + 2))
+                assert radius(c, m) == int(math.floor(c * math.sqrt(m) + 2))
 
     def test_exact_on_boundary(self):
         # 1.0 * sqrt(4) + 2 = 4 exactly
-        assert em.floor_plus_c_sqrt(1.0, 4, add=2) == 4
-        assert em.floor_plus_c_sqrt(Fraction(3, 2), 4, add=2) == 5
+        assert radius(1.0, 4) == 4
+        assert radius(Fraction(3, 2), 4) == 5

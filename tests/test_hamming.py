@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,64 @@ class TestHamgraphTheorem:
                 continue
             for c in (0.25, 0.75, 1.5):
                 assert hm.check_hamgraph_theorem(s, c).holds
+
+
+def counted_certifications(monkeypatch):
+    """Patch the certified comparison to count its calls."""
+    calls = []
+    real = hm.exactmath.compare_scaled_exp
+
+    def compare(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hm.exactmath, "compare_scaled_exp", compare)
+    return calls
+
+
+class TestInteriorRatio:
+    def test_c_must_be_positive(self):
+        for c in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="c must be positive"):
+                hm.interior_ratio_cases(4, [1.0, c])
+
+    def test_float_bound_error(self):
+        # the bound of interior_ratio_holds's error statement, against a
+        # 50-digit exp
+        grid = [0.1, 0.25, 0.4, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0,
+                5.0, Fraction(1, 3), Fraction(7, 10)]
+        for c, _, bound in hm.interior_ratio_cases(4, grid):
+            x = -2 * Fraction(c) ** 2
+            with mpmath.workdps(50):
+                exact = 2 * mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+                error = abs(mpmath.mpf(bound) - exact) / exact
+            slack = 1 if isinstance(c, float) else 3
+            assert error <= (slack * abs(x) + 2) * mpmath.mpf(2) ** -53, c
+
+    # floor(2 e^-2 10^9) = 270670566: float margin 4.7e-10, inside the
+    # guard band, so only the certified comparison decides either side
+    @pytest.mark.parametrize("interior,holds", [(270670566, True),
+                                                (270670567, False)])
+    def test_guard_band(self, monkeypatch, interior, holds):
+        calls = counted_certifications(monkeypatch)
+        cases = hm.interior_ratio_cases(4, [1.0])
+        margins, verdicts = hm.interior_ratio_holds([[interior]], [10 ** 9],
+                                                    cases)
+        assert abs(margins[0, 0]) < 1e-9
+        assert verdicts.tolist() == [[holds]]
+        assert len(calls) == 1
+
+    def test_float_decides_outside_the_band(self, monkeypatch):
+        calls = counted_certifications(monkeypatch)
+        cases = hm.interior_ratio_cases(16, [0.5, 1.0, 2.0])
+        margins, verdicts = hm.interior_ratio_holds(
+            [[0, 0, 0], [1, 1, 0], [3, 3, 3]], [4, 4, 4], cases)
+        # only 3/4 at c >= 1 is above its bound
+        assert verdicts.tolist() == [[True] * 3, [True] * 3,
+                                     [True, False, False]]
+        assert margins[0].tolist() == [bound for _, _, bound in cases]
+        # a margin above 1e-9 is never certified; a negative one is
+        assert [args[0] for args in calls] == [Fraction(3, 4)] * 2
 
 
 class TestHarperCheck:

@@ -139,8 +139,13 @@ class TestEnumeration:
         assert seen == list(range(16))
 
     def test_cap(self):
-        with pytest.raises(SpaceTooLarge):
-            list(isp.enumerate_space(P212, cap=100))
+        # enumeration takes no bound of its own; the dense oracle refuses
+        # a space beyond MATRIX_CAP
+        params = isp.SpaceParams(2, 1, 3)
+        with pytest.raises(SpaceTooLarge) as raised:
+            rb.robust_flags_by_matrix(sum_classifier(params),
+                                      isp.PerturbationBudget(0, 1))
+        assert str(raised.value) == "space holds 4096 images, cap is 2048"
 
 
 # A space one bit beyond the enumeration bound: every full scan refuses it

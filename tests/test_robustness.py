@@ -6,6 +6,7 @@ import pytest
 
 from robustness_envelope import hamming as hm
 from robustness_envelope import robustness as rb
+from robustness_envelope import verify
 from robustness_envelope.classifiers import random_classifier, sum_classifier
 from robustness_envelope.errors import (
     BallTooLarge,
@@ -298,6 +299,11 @@ class TestTheorem1:
         report = rb.theorem1_holds(SUM211, [0.5, 0.75, 1.0])
         assert [e.budget for e in report.entries] == [3, 3, 4]
 
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_c_must_be_positive(self, c):
+        with pytest.raises(ValueError, match="c must be positive"):
+            rb.theorem1_holds(SUM211, [0.5, c])
+
     def test_balanced_batch(self):
         for seed in range(25):
             c = random_classifier(P211, 2, "balanced", seed)
@@ -354,6 +360,26 @@ class TestEngineAgainstOracles:
                 rb._diff_pow_matrix.cache_clear()  # 32 MiB per p at 2048
         finally:
             rb._diff_pow_matrix.cache_clear()
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES,
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_theorem1_counts_equal_interiors(self, shape):
+        # theorem1_holds reads the cost-layered engine; interior_k expands
+        # each class's complement one step at a time
+        params = SpaceParams(*shape)
+        graph = hm.GraphParams(params.dimension, params.level_count)
+        checked = set()
+        for classifier in oracle_battery(params):
+            report = rb.theorem1_holds(classifier, verify._C_GRID)
+            classes = {label: hm.HammingSubset(graph, class_bits(classifier, label))
+                       for label in {e.label for e in report.entries}}
+            for entry in report.entries:
+                members = classes[entry.label]
+                assert entry.class_size == members.size
+                assert entry.robust_count == hm.interior_k(members,
+                                                           entry.budget).size
+                checked.add((classifier.label_count, entry.label))
+        assert (3, 2) in checked  # the 3-label uniform classifier took part
 
     def test_beyond_matrix_cap_matches_per_image(self):
         # 4096 images: the ball enumeration (p = 0) and the greedy sum

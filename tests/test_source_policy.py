@@ -50,19 +50,30 @@ def test_generators_built_only_in_image_space():
     assert {name for _, _, name in built} == {"Philox", "Generator"}
 
 
+def referenced_names(node):
+    """The names a node reads: a bare name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [a.name for a in node.names]
+    return []
+
+
+def files_referencing(name):
+    return {path.name for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if name in referenced_names(node)}
+
+
 def test_one_enumeration_bound():
-    # The 2^20 bound is read only in image_space, and only enumerate_space
-    # takes a bound of its own (the dense oracle passes MATRIX_CAP to it).
-    readers, cap_params = set(), []
+    # The 2^20 bound is read only in image_space, and no function takes a
+    # bound of its own (the dense oracle checks MATRIX_CAP itself).
+    readers, cap_params = files_referencing("DEFAULT_ENUMERATION_CAP"), []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            names = ([node.id] if isinstance(node, ast.Name)
-                     else [node.attr] if isinstance(node, ast.Attribute)
-                     else [a.name for a in node.names]
-                     if isinstance(node, ast.ImportFrom) else [])
-            if "DEFAULT_ENUMERATION_CAP" in names:
-                readers.add(path.name)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
                 args = node.args
@@ -71,7 +82,14 @@ def test_one_enumeration_bound():
                     cap_params.append(
                         f"{path.name}:{getattr(node, 'name', 'lambda')}")
     assert readers == {"image_space.py"}
-    assert cap_params == ["image_space.py:enumerate_space"]
+    assert cap_params == []
+
+
+def test_one_certified_site():
+    # Theorem 1 is decided in hamming.interior_ratio_holds alone; the other
+    # certified comparison is the Hoeffding sweep in exactmath.
+    assert files_referencing("compare_scaled_exp") == {"exactmath.py",
+                                                      "hamming.py"}
 
 
 def test_every_error_class_is_raised():

@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from robustness_envelope import cli, exactmath, perturb, verify
+from robustness_envelope import cli, exactmath, perturb, robustness, verify
 from robustness_envelope import hamming as hm
-from robustness_envelope.image_space import philox_rng
+from robustness_envelope.classifiers import sum_classifier
+from robustness_envelope.image_space import SpaceParams, philox_rng
 
 
 # --- oracle: one subset at a time ---------------------------------------------
@@ -41,7 +42,7 @@ def oracle_check_interior_ratio(sizes, subset_size, cases, worst):
 
 
 def oracle_interior_sweep(check_id, graph, subsets, detail):
-    cases = verify._hamgraph_cases(graph.dims)
+    cases = hm.interior_ratio_cases(graph.dims, verify._C_GRID)
     max_radius = max(radius for _, radius, _ in cases)
     worst = [math.inf]
     for bits in subsets:
@@ -165,16 +166,16 @@ def failing_escalation(at):
 
 class TestForcedFailure:
     def patch_cases(self, monkeypatch):
-        real = verify._hamgraph_cases
+        real = hm.interior_ratio_cases
 
-        def cases(dims):
-            grid = real(dims)
+        def cases(dims, c_values):
+            grid = real(dims, c_values)
             # a zero bound escalates every subset at the middle case, with
             # margin -|Int^1 S|/|S|: the worst margin then depends on which
             # subsets precede the failing one
             return [grid[0], (1.0, 1, 0.0), grid[-1]]
 
-        monkeypatch.setattr(verify, "_hamgraph_cases", cases)
+        monkeypatch.setattr(hm, "interior_ratio_cases", cases)
 
     @pytest.mark.parametrize("at", [1, 4096, 5000])
     def test_random(self, monkeypatch, at):
@@ -213,6 +214,32 @@ class TestForcedFailure:
         want = oracle_harper(4, 2, {1, 2, 3})
         assert want.detail == "counterexample bits=0x1fff, k=2"
         same_result(got, want)
+
+
+def test_theorem1_is_decided_in_one_place(monkeypatch, capsys):
+    # Radius 0 and bound 0 at c = 1 in the one helper: every member is its
+    # own interior, and the certified comparison confirms 1 >= 2 e^-2.  So
+    # all three sites fail, and only through the patched cases.
+    real = hm.interior_ratio_cases
+
+    def cases(dims, c_values):
+        return [(c, 0, 0.0) if c == 1.0 else (c, radius, bound)
+                for c, radius, bound in real(dims, c_values)]
+
+    monkeypatch.setattr(hm, "interior_ratio_cases", cases)
+    report = robustness.theorem1_holds(sum_classifier(SpaceParams(2, 1, 1)),
+                                       [0.5, 1.0])
+    assert [(e.c, e.holds) for e in report.entries] == [(0.5, True),
+                                                        (1.0, False)]
+    assert not hm.check_hamgraph_theorem(
+        hm.HammingSubset.from_members(hm.GraphParams(4, 2), [0, 1]), 1.0).holds
+    swept = verify._sweep_hamgraph_random(4, 3, 100, 7)
+    assert not swept.passed and swept.detail.endswith("at c=1.0")
+    assert cli.main(["verify", "theorem1", "--balanced-small", "1",
+                     "--balanced-large", "1"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL theorem1/sum-(2,1,1) margin=-1 -- "
+            "violated by sum label 0 at c=1.0") in out
 
 
 def test_first_failure_worst_margin():

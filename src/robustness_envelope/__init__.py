@@ -71,9 +71,8 @@ from .perturb import (
 from .robustness import (
     RobustnessReport,
     class_robust_fraction,
+    first_reduction_violation,
     image_is_robust,
-    reduction_check_L0_to_Lp,
-    reduction_check_L1_to_L0,
     sum_exact_fraction_L1,
     theorem1_holds,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -135,13 +134,13 @@ class AvgDistanceConstants:
     k_hbp: float
 
 
-@lru_cache(maxsize=128)
 def avg_distance_constant(h: int, b: int, p: int) -> AvgDistanceConstants:
     """Constants of the expected-distance lower bound between uniform pairs.
 
     ``k_bp`` is ``E|X - Y|^{max(1,p)}`` over independent uniform levels,
-    computed exactly by enumerating level differences (collapsed to a
-    single sum over the difference with its multiplicity).
+    computed exactly by enumerating level differences: one integer sum
+    ``sum_d 2 (q - d) d^m`` over ``(q - 1)^m q^2``, the difference d
+    weighted by its multiplicity.
     """
     if b > 16:
         raise BitDepthTooLarge(f"b must be <= 16, got {b}")
@@ -149,10 +148,8 @@ def avg_distance_constant(h: int, b: int, p: int) -> AvgDistanceConstants:
         raise ValueError("h must be >= 1 and p >= 0")
     q = 1 << b
     m = max(1, p)
-    total = Fraction(0)
-    for d in range(1, q):
-        total += 2 * (q - d) * Fraction(d, q - 1) ** m
-    k_bp = total / q ** 2
+    k_bp = Fraction(sum(2 * (q - d) * d ** m for d in range(1, q)),
+                    (q - 1) ** m * q ** 2)
     with mpmath.workdps(WORK_DPS):
         k = _mp(k_bp)
         k_hbp = float(k / (2 - k) * (h * k / 2) ** (mpmath.mpf(1) / m))

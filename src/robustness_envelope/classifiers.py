@@ -99,21 +99,17 @@ def is_interesting(count: int, params: SpaceParams) -> bool:
 
 
 def sum_classifier(params: SpaceParams) -> ClassifierHandle:
-    """Label 0 iff the channel-value sum is below half the maximum.
-
-    The comparison ``sum(values) < n^2 h / 2`` is carried out on integer
-    levels (``2 * sum(levels)`` vs ``dimension * max_level``), so an exact
-    tie lands on label 1 with no floating-point ambiguity.
-    """
-    threshold_doubled = params.dimension * params.max_level
+    """Label 0 iff the channel-value sum is below half the maximum, decided
+    on the level sum against :func:`sum_class0_max_level_sum`."""
+    split = sum_class0_max_level_sum(params)
 
     def decide(image: ImageTensor) -> int:
-        return 0 if 2 * image.level_sum() < threshold_doubled else 1
+        return 0 if image.level_sum() <= split else 1
 
     def batch() -> np.ndarray:
         levels = np.arange(params.level_count, dtype=np.int32)
         sums = _outer_sums(np.tile(levels, (params.dimension, 1)))
-        return (2 * sums >= threshold_doubled).astype(np.uint8)
+        return (sums > split).astype(np.uint8)
 
     return ClassifierHandle(params=params, label_count=2, decide=decide,
                             kind="sum", spec="sum", batch=batch)
@@ -126,7 +122,12 @@ def level_sum_pmf(params: SpaceParams) -> exactmath.DiscretePMF:
 
 
 def sum_class0_max_level_sum(params: SpaceParams) -> int:
-    """Largest level sum still labeled 0 by the sum classifier."""
+    """Largest level sum still labeled 0 by the sum classifier.
+
+    The comparison ``sum(values) < n^2 h / 2`` is carried out on integer
+    levels (``2 * sum(levels) < dimension * max_level``), so an exact tie
+    lands on label 1 with no floating-point ambiguity.
+    """
     return (params.dimension * params.max_level - 1) // 2
 
 

@@ -57,7 +57,10 @@ def cmd_bounds(args) -> int:
     r = args.r
     c = None if args.c is None else float(args.c)
     if r is None:
-        # c parametrizes the count-norm route: r = 2 exp(-2 c^2)
+        # c parametrizes the count-norm route: r = 2 exp(-2 c^2), c > 0
+        if not c > 0:
+            print(f"error: --c must be positive, got {c}", file=sys.stderr)
+            return EXIT_USAGE
         r = 2.0 * math.exp(-2.0 * c * c)
         if not (0 < r < 1):
             print(f"error: --c {c} maps to r={r:.4f} outside (0, 1)",

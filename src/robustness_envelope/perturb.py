@@ -19,7 +19,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classifiers import ClassifierHandle, labels_for, sum_classifier
+from .classifiers import (
+    ClassifierHandle,
+    labels_for,
+    sum_class0_max_level_sum,
+    sum_classifier,
+)
 from .errors import (
     ContractViolation,
     EmptyClass,
@@ -453,15 +458,14 @@ def attack_sum_classifier(image: ImageTensor, p: int) -> PerturbationSearchResul
     """
     _check_norm(p)
     params = image.params
-    doubled_max = params.dimension * params.max_level
-    first_one_sum = (doubled_max + 1) // 2  # smallest level sum labeled 1
+    split = sum_class0_max_level_sum(params)
     level_sum = image.level_sum()
-    if 2 * level_sum < doubled_max:  # label 0: push the sum up
-        needed = first_one_sum - level_sum
+    if level_sum <= split:  # label 0: push the sum up
+        needed = split + 1 - level_sum
         caps = [params.max_level - v for v in image.levels]
         direction = 1
     else:  # label 1: push the sum down
-        needed = level_sum - (first_one_sum - 1)
+        needed = level_sum - split
         caps = list(image.levels)
         direction = -1
     if needed > sum(caps):

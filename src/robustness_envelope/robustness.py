@@ -345,34 +345,37 @@ def sum_exact_fraction_L1(params: SpaceParams, size) -> Fraction:
     return pmf.cdf_at(robust_max) / denominator
 
 
-def reduction_check_L1_to_L0(classifier: ClassifierHandle, d) -> bool:
-    """Whether robustness at L1 size d implies robustness at L0 size d."""
-    _, (robust_l1, robust_l0) = _exhaustive(
-        classifier, [PerturbationBudget(1, Fraction(d)),
-                     PerturbationBudget(0, Fraction(d))])
-    return bool(np.all(~robust_l1 | robust_l0))
-
-
-def reduction_check_L0_to_Lp(classifier: ClassifierHandle, d: int,
-                             p: int) -> bool:
-    """Both directions of the L0-to-Lp reductions, with exact budgets.
-
-    Robust at L0 size d must imply robust at Lp size ``d^(1/p)/(2^b-1)``;
-    not robust at L0 size d must imply not robust at Lp size ``d^(1/p)``.
-    The irrational sizes are carried as exact p-th powers.
+def first_reduction_violation(classifier: ClassifierHandle, sizes: Sequence[int],
+                              norms: Sequence[int]) -> Optional[tuple[int, str]]:
+    """First violated norm reduction as ``(d, kind)``, or None, d by d:
+    robust at L1 size d implies robust at L0 size d (``"L1->L0"``), then
+    for each p >= 2 (``"L0->Lp"``) robust at L0 size d implies robust at
+    Lp size ``d^(1/p)/(2^b-1)`` and not robust at L0 size d implies not
+    robust at Lp size ``d^(1/p)``, the irrational sizes carried as exact
+    p-th powers.  One exhaustive pass decides every budget.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    params = classifier.params
-    top = params.max_level
-    small = PerturbationBudget(p, float(d) ** (1 / p) / top,
-                               size_pow=Fraction(d) / Fraction(top) ** p)
-    large = PerturbationBudget(p, float(d) ** (1 / p), size_pow=Fraction(d))
-    _, (robust_l0, robust_small, robust_large) = _exhaustive(
-        classifier, [PerturbationBudget(0, Fraction(d)), small, large])
-    forward = bool(np.all(~robust_l0 | robust_small))
-    backward = bool(np.all(~robust_large | robust_l0))
-    return forward and backward
+    if any(p < 2 for p in norms):
+        raise ValueError(f"every p must be >= 2, got {list(norms)}")
+    top = classifier.params.max_level
+    budgets = []
+    for d in sizes:
+        budgets += [PerturbationBudget(1, Fraction(d)),
+                    PerturbationBudget(0, Fraction(d))]
+        for p in norms:
+            budgets += [
+                PerturbationBudget(p, float(d) ** (1 / p) / top,
+                                   size_pow=Fraction(d) / Fraction(top) ** p),
+                PerturbationBudget(p, float(d) ** (1 / p), size_pow=Fraction(d))]
+    verdicts = iter(_exhaustive(classifier, budgets)[1])
+    for d in sizes:
+        robust_l1, robust_l0 = next(verdicts), next(verdicts)
+        if not np.all(~robust_l1 | robust_l0):
+            return d, "L1->L0"
+        for p in norms:
+            small, large = next(verdicts), next(verdicts)
+            if not (np.all(~robust_l0 | small) and np.all(~large | robust_l0)):
+                return d, f"L0->L{p}"
+    return None
 
 
 @dataclass(frozen=True)

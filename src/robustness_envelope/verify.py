@@ -139,18 +139,6 @@ def suite_binomial(cfg: VerifyConfig) -> SuiteReport:
 _C_GRID = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
-# Subsets packed into one integer per expansion step.  4096 ran no faster
-# and raised the suite's peak RSS by about 1 MiB more.
-_CHUNK = 2048
-
-
-def _full_row(count: int) -> np.ndarray:
-    """The whole vertex set as one slot row of uint64 words."""
-    words = hamming._slot_width(count) // 64
-    return np.frombuffer(((1 << count) - 1).to_bytes(words * 8, "little"),
-                         dtype="<u8")
-
-
 def _first_failure(margins: np.ndarray, failed) -> tuple[float, Optional[tuple]]:
     """Worst margin of the entries up to the first failed one in row-major
     order, and that entry's (row, column) or None."""
@@ -162,82 +150,36 @@ def _first_failure(margins: np.ndarray, failed) -> tuple[float, Optional[tuple]]
     return float(seen), (row, col)
 
 
-def _interior_sizes(graph: hamming.GraphParams, rows: np.ndarray,
-                    max_radius: int, masks) -> np.ndarray:
-    """|Int^r(S)| for r = 0..max_radius of each subset row, expanding the
-    packed complements of the whole chunk together."""
-    count, slots, words = graph.vertex_count, len(rows), rows.shape[1]
-    sizes = np.empty((slots, max_radius + 1), dtype=np.int64)
-    sizes[:, 0] = hamming._row_sizes(rows)
-    grown = hamming._pack_slots(rows ^ _full_row(count))
-    for radius in range(1, max_radius + 1):
-        grown = hamming._expand_bits(graph.dims, graph.alphabet, grown,
-                                     slots, masks)
-        sizes[:, radius] = count - hamming._slot_sizes(grown, slots, words)
-    return sizes
-
-
 def _sweep_interior_ratio(check_id: str, graph: hamming.GraphParams, chunks,
                           detail: str) -> CheckResult:
+    """Interior sizes read as ``count - |Exp^r|`` of the complement rows."""
+    count = graph.vertex_count
     cases = hamming.interior_ratio_cases(graph.dims, _C_GRID)
     radii = [radius for _, radius, _ in cases]
-    masks = hamming._slot_masks(graph.dims, graph.alphabet, _CHUNK)
+    full = hamming.full_row(count)
     worst = math.inf
-    for rows in chunks:
-        sizes = _interior_sizes(graph, rows, max(radii), masks)
-        margins, holds = hamming.interior_ratio_holds(sizes[:, radii],
-                                                      sizes[:, 0], cases)
+    for complements, sizes in hamming.expansion_sizes(
+            graph, (rows ^ full for rows in chunks), max(radii)):
+        interiors = count - sizes
+        margins, holds = hamming.interior_ratio_holds(interiors[:, radii],
+                                                      interiors[:, 0], cases)
         seen, bad = _first_failure(margins, np.argwhere(~holds))
         worst = min(worst, seen)
         if bad is not None:
-            return CheckResult(
-                check_id, False, worst,
-                f"counterexample bits={hamming._pack_slots(rows[bad[0]]):#x} "
-                f"at c={cases[bad[1]][0]}")
+            bits = hamming.pack_slots(complements[bad[0]] ^ full)
+            return CheckResult(check_id, False, worst,
+                               f"counterexample bits={bits:#x} "
+                               f"at c={cases[bad[1]][0]}")
     return CheckResult(check_id, True, worst, detail)
-
-
-def _proper_subsets(count: int):
-    """Every bitset strictly between the empty and the full set, in order,
-    in chunks."""
-    end = (1 << count) - 1
-    for start in range(1, end, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, end), dtype=np.uint64)[:, None]
 
 
 def _sweep_hamgraph_exhaustive(dims: int, q: int) -> CheckResult:
     graph = hamming.GraphParams(dims, q)
     half = graph.vertex_count // 2
-    chunks = (rows[hamming._row_sizes(rows) <= half]
-              for rows in _proper_subsets(graph.vertex_count))
     return _sweep_interior_ratio(
-        f"hamming/interior-ratio-H({dims},{q})-exhaustive", graph, chunks,
+        f"hamming/interior-ratio-H({dims},{q})-exhaustive", graph,
+        hamming.proper_subset_rows(graph.vertex_count, half),
         f"all subsets with 1 <= |S| <= {half}, c in {_C_GRID}")
-
-
-def _random_subsets(count: int, how_many: int, seed: int):
-    """Chunks of seeded subsets with 1 <= |S| <= count // 2.
-
-    A draw larger than half the graph is complemented and an empty one is
-    drawn again.  Each draw reads ``nbytes`` rounded up to whole 32-bit
-    words of the Philox stream, as one ``rng.bytes(nbytes)`` call does, so
-    one bulk ``rng.bytes`` per chunk reads the same subsets.
-    """
-    rng = philox_rng(seed)
-    nbytes = (count + 7) // 8
-    stride = 4 * -(-nbytes // 4)
-    full = _full_row(count)
-    half = count // 2
-    left = how_many
-    while left > 0:
-        raw = np.frombuffer(rng.bytes(_CHUNK * stride), dtype=np.uint8)
-        padded = np.zeros((_CHUNK, full.nbytes), dtype=np.uint8)
-        padded[:, :nbytes] = raw.reshape(_CHUNK, stride)[:, :nbytes]
-        rows = padded.view("<u8") & full
-        rows[hamming._row_sizes(rows) > half] ^= full
-        rows = rows[hamming._row_sizes(rows) > 0][:left]
-        left -= len(rows)
-        yield rows
 
 
 def _sweep_hamgraph_random(dims: int, q: int, count_subsets: int,
@@ -245,7 +187,7 @@ def _sweep_hamgraph_random(dims: int, q: int, count_subsets: int,
     graph = hamming.GraphParams(dims, q)
     return _sweep_interior_ratio(
         f"hamming/interior-ratio-H({dims},{q})-random", graph,
-        _random_subsets(graph.vertex_count, count_subsets, seed),
+        hamming.seeded_subset_rows(graph.vertex_count, count_subsets, seed),
         f"{count_subsets} seeded subsets, c in {_C_GRID}")
 
 
@@ -254,7 +196,6 @@ def _sweep_harper(dims: int, q: int, k_values) -> CheckResult:
     count = graph.vertex_count
     ks = sorted(k_values)
     tol_fraction = Fraction(hamming.HARPER_TOL)
-    masks = hamming._slot_masks(dims, q, _CHUNK)
     rhs_cache: dict = {}
     judged: dict = {}  # (k, |S|, |Exp^k S|) -> (float margin, holds)
 
@@ -271,20 +212,13 @@ def _sweep_harper(dims: int, q: int, k_values) -> CheckResult:
         return judged[key]
 
     worst = math.inf
-    for rows in _proper_subsets(count):
-        slots, words = rows.shape
-        sizes = hamming._row_sizes(rows)
-        margins = np.empty((slots, len(ks)))
-        holds = np.empty((slots, len(ks)), dtype=bool)
-        expanded = hamming._pack_slots(rows)
-        for k in range(1, ks[-1] + 1):
-            expanded = hamming._expand_bits(dims, q, expanded, slots, masks)
-            if k not in k_values:
-                continue
-            col = ks.index(k)
-            pairs, inverse = np.unique(
-                sizes * (count + 1) + hamming._slot_sizes(expanded, slots, words),
-                return_inverse=True)
+    for rows, sizes in hamming.expansion_sizes(
+            graph, hamming.proper_subset_rows(count, count - 1), ks[-1]):
+        margins = np.empty((len(rows), len(ks)))
+        holds = np.empty((len(rows), len(ks)), dtype=bool)
+        for col, k in enumerate(ks):
+            pairs, inverse = np.unique(sizes[:, 0] * (count + 1) + sizes[:, k],
+                                       return_inverse=True)
             verdicts = [judge(k, *divmod(int(pair), count + 1)) for pair in pairs]
             margins[:, col] = np.array([m for m, _ in verdicts])[inverse]
             holds[:, col] = np.array([ok for _, ok in verdicts])[inverse]
@@ -293,7 +227,7 @@ def _sweep_harper(dims: int, q: int, k_values) -> CheckResult:
         if bad is not None:
             return CheckResult(
                 f"hamming/expansion-lower-bound-H({dims},{q})", False, worst,
-                f"counterexample bits={hamming._pack_slots(rows[bad[0]]):#x}, "
+                f"counterexample bits={hamming.pack_slots(rows[bad[0]]):#x}, "
                 f"k={ks[bad[1]]}")
     return CheckResult(
         f"hamming/expansion-lower-bound-H({dims},{q})", True, worst,
@@ -688,20 +622,12 @@ def classifier_zoo(params: SpaceParams) -> list[ClassifierHandle]:
 def suite_reductions(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     for shape in ((2, 1, 1), (2, 1, 2), (3, 1, 1)):
-        params = SpaceParams(*shape)
         bad = None
-        for classifier in classifier_zoo(params):
-            for d in (1, 2, 3):
-                if not robustness.reduction_check_L1_to_L0(classifier, d):
-                    bad = (classifier.spec, d, "L1->L0")
-                    break
-                for p in (2, 3):
-                    if not robustness.reduction_check_L0_to_Lp(classifier, d, p):
-                        bad = (classifier.spec, d, f"L0->L{p}")
-                        break
-                if bad:
-                    break
-            if bad:
+        for classifier in classifier_zoo(SpaceParams(*shape)):
+            found = robustness.first_reduction_violation(classifier, (1, 2, 3),
+                                                         (2, 3))
+            if found:
+                bad = (classifier.spec, *found)
                 break
         checks.append(CheckResult(
             f"reductions/zoo-{shape}", bad is None, None,

@@ -33,6 +33,18 @@ class TestSumClassifier:
         assert c.decide(ImageTensor(P212, (3, 2, 0, 0))) == 0
         assert c.decide(ImageTensor(P212, (3, 3, 0, 0))) == 1
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (1, 1, 3)])
+    def test_split_is_half_the_doubled_maximum(self, shape):
+        # decide, batch and the attack read one split; the definition is
+        # 2 * level_sum < dimension * max_level, even or odd
+        params = SpaceParams(*shape)
+        c = cl.sum_classifier(params)
+        doubled_max = params.dimension * params.max_level
+        want = [0 if 2 * img.level_sum() < doubled_max else 1
+                for img in enumerate_space(params)]
+        assert [c.decide(img) for img in enumerate_space(params)] == want
+        assert c.labels().tolist() == want
+
 
 class TestClassSizes:
     def test_small_binary_space(self):

@@ -55,6 +55,14 @@ class TestBounds:
                                "--h", "1", "--b", "1")
         assert code == 2 and "outside" in err
 
+    @pytest.mark.parametrize("c", ["-1", "0", "-0.5", "nan"])
+    def test_nonpositive_c_exits_2(self, capsys, c):
+        # a negative c would map to the same r as -c while its row reads |c|
+        code, out, err = run_cli(capsys, "bounds", "--c", c, "--n", "4",
+                                 "--h", "1", "--b", "1", "--p", "0",
+                                 "--format", "json")
+        assert code == 2 and "--c must be positive" in err and out == ""
+
     def test_r_and_c_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["bounds", "--r", "0.5", "--c", "1.0", "--n", "4",

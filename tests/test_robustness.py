@@ -262,25 +262,33 @@ class TestBitDepthEight:
 
 class TestReductions:
     def test_l1_to_l0_sum(self):
-        for d in (1, 2, 3):
-            assert rb.reduction_check_L1_to_L0(SUM211, d)
+        assert rb.first_reduction_violation(SUM211, (1, 2, 3), ()) is None
 
     def test_l1_to_l0_balanced(self):
         c = random_classifier(P212, 2, "balanced", 4)
-        for d in (1, 2):
-            assert rb.reduction_check_L1_to_L0(c, d)
+        assert rb.first_reduction_violation(c, (1, 2), ()) is None
 
     def test_zero_budget_vacuous(self):
-        assert rb.reduction_check_L1_to_L0(SUM211, 0)
+        assert rb.first_reduction_violation(SUM211, (0,), (2, 3)) is None
 
     def test_l0_to_lp(self):
-        assert rb.reduction_check_L0_to_Lp(sum_classifier(P212), 2, 2)
-        assert rb.reduction_check_L0_to_Lp(
-            random_classifier(P211, 2, "balanced", 8), 1, 3)
+        assert rb.first_reduction_violation(sum_classifier(P212), (2,), (2,)) is None
+        assert rb.first_reduction_violation(
+            random_classifier(P211, 2, "balanced", 8), (1,), (3,)) is None
 
     def test_b1_degenerate_divisor(self):
         # (2^b - 1) = 1: both directions collapse to the same budget
-        assert rb.reduction_check_L0_to_Lp(SUM211, 1, 2)
+        assert rb.first_reduction_violation(SUM211, (1,), (2,)) is None
+
+    def test_norm_below_two_refused(self):
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            rb.first_reduction_violation(SUM211, (1,), (2, 1))
+
+    def test_each_image_decided_once(self):
+        # one engine pass for the whole (d, p) grid: one decide per image
+        classifier, calls = counting(random_classifier(P212, 2, "balanced", 4))
+        assert rb.first_reduction_violation(classifier, (1, 2, 3), (2, 3)) is None
+        assert calls[0] == P212.total_images
 
 
 class TestTheorem1:

@@ -109,3 +109,41 @@ def test_every_error_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert defined and sorted(defined - raised) == []
+
+
+def source_tree(name):
+    path = SRC / "robustness_envelope" / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_hamming_owns_the_packed_layout():
+    # verify reads hamming's public names only, and the packed subset rows
+    # are expanded at one call site (_expand_bits given a slot count).
+    private = sorted({node.attr for node in ast.walk(source_tree("verify.py"))
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "hamming"
+                      and node.attr.startswith("_")})
+    assert private == []
+    packed_calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and "_expand_bits" in referenced_names(node.func)
+                    and (len(node.args) > 3
+                         or any(k.arg == "slots" for k in node.keywords))):
+                packed_calls.append(f"{path.name}:{node.lineno}")
+    assert len(packed_calls) == 1, packed_calls
+
+
+def test_reductions_have_one_entry_point():
+    # Every norm reduction is decided by robustness.first_reduction_violation.
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            found |= {f"{path.name}:{name}" for name in names
+                      if name.startswith("reduction_check_")}
+    assert found == set()

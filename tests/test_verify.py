@@ -1,6 +1,7 @@
 """The slot-packed hamming sweeps against the per-subset loops they replace,
 and the verify configuration's contracts."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,11 @@ import pytest
 from robustness_envelope import cli, exactmath, perturb, robustness, verify
 from robustness_envelope import hamming as hm
 from robustness_envelope.classifiers import sum_classifier
-from robustness_envelope.image_space import SpaceParams, philox_rng
+from robustness_envelope.image_space import (
+    PerturbationBudget,
+    SpaceParams,
+    philox_rng,
+)
 
 
 # --- oracle: one subset at a time ---------------------------------------------
@@ -148,8 +153,8 @@ class TestSweepsMatchOracle:
 
     @pytest.mark.parametrize("count,seed", [(64, 7), (81, 8), (81, 99)])
     def test_random_draws(self, count, seed):
-        drawn = [hm._pack_slots(row) for rows in
-                 verify._random_subsets(count, 9000, seed) for row in rows]
+        drawn = [hm.pack_slots(row) for rows in
+                 hm.seeded_subset_rows(count, 9000, seed) for row in rows]
         assert drawn == list(oracle_random_subsets(count, 9000, seed))
 
 
@@ -250,6 +255,97 @@ def test_first_failure_worst_margin():
     assert verify._first_failure(margins[1:], iter([(1, 0)])) == (-2.0, (1, 0))
 
 
+# --- reductions suite -----------------------------------------------------------
+
+def old_order_violation(classifier, sizes=(1, 2, 3), norms=(2, 3)):
+    """The reductions in the order the suite checks them, one engine call
+    per implication: L1->L0 at d, then L0->Lp for each p, d by d."""
+    top = classifier.params.max_level
+    for d in sizes:
+        _, (l1, l0) = robustness._exhaustive(
+            classifier, [PerturbationBudget(1, Fraction(d)),
+                         PerturbationBudget(0, Fraction(d))])
+        if not np.all(~l1 | l0):
+            return d, "L1->L0"
+        for p in norms:
+            small = PerturbationBudget(p, float(d) ** (1 / p) / top,
+                                       size_pow=Fraction(d) / Fraction(top) ** p)
+            large = PerturbationBudget(p, float(d) ** (1 / p), size_pow=Fraction(d))
+            _, (l0, below, above) = robustness._exhaustive(
+                classifier, [PerturbationBudget(0, Fraction(d)), small, large])
+            if not (np.all(~l0 | below) and np.all(~above | l0)):
+                return d, f"L0->L{p}"
+    return None
+
+
+def forcing_engine(monkeypatch, forced, spec=None):
+    """Patch the exhaustive engine so every budget keyed ``(p, size^p)`` in
+    ``forced`` gets that constant verdict for every image, for the
+    classifier ``spec`` only when one is given."""
+    real = robustness._exhaustive
+
+    def engine(classifier, budgets):
+        labels, verdicts = real(classifier, budgets)
+        for i, budget in enumerate(budgets):
+            key = (budget.p, budget.exact_size_pow())
+            if key in forced and spec in (None, classifier.spec):
+                verdicts[i] = np.full_like(verdicts[i], forced[key])
+        return labels, verdicts
+
+    monkeypatch.setattr(robustness, "_exhaustive", engine)
+
+
+class TestReductionsSuite:
+    @pytest.mark.parametrize("forced,spec", [
+        ({(0, 2): False}, None),                # L0 at d = 2 never robust
+        ({(3, 1): True}, None),                 # L3 at d = 1 always robust
+        ({(0, 2): False, (3, 1): True}, None),  # both: d = 1 comes first
+        ({(2, Fraction(1, 9)): False}, None),   # small L2 budget at d = 1, b = 2
+        ({(1, 3): True, (3, 3): False}, None),
+        ({(3, 1): True, (2, 1): True}, None),   # both: p = 2 comes first
+        ({(3, 2): True}, "balanced:12"),        # a later classifier only
+        ({(2, 2): True, (1, 2): True}, "uniform:22:3"),
+    ], ids=str)
+    def test_forced_failure_reports_old_order(self, monkeypatch, forced, spec):
+        forcing_engine(monkeypatch, forced, spec)
+        report = verify.suite_reductions(verify.VerifyConfig())
+        failures = 0
+        for shape, check in zip(((2, 1, 1), (2, 1, 2), (3, 1, 1)), report.checks):
+            want = None
+            for classifier in verify.classifier_zoo(SpaceParams(*shape)):
+                found = old_order_violation(classifier)
+                if found:
+                    want = (classifier.spec, *found)
+                    break
+            failures += want is not None
+            assert check.passed == (want is None)
+            assert check.detail == ("d in (1,2,3), p in (2,3), exhaustive"
+                                    + (f"; violated {want}" if want else ""))
+        assert failures > 0
+
+    def test_each_zoo_image_decided_once(self, monkeypatch):
+        real_zoo = verify.classifier_zoo
+        counts = []
+
+        def zoo(params):
+            handles = []
+            for handle in real_zoo(params):
+                calls = [0]
+                counts.append((params, calls))
+
+                def decide(image, handle=handle, calls=calls):
+                    calls[0] += 1
+                    return handle.decide(image)
+
+                handles.append(dataclasses.replace(handle, decide=decide))
+            return handles
+
+        monkeypatch.setattr(verify, "classifier_zoo", zoo)
+        assert verify.suite_reductions(verify.VerifyConfig()).passed
+        assert len(counts) == 18
+        assert all(calls[0] == params.total_images for params, calls in counts)
+
+
 # --- slot-packed kernels -------------------------------------------------------
 
 def unpack(bits, slots, width):
@@ -276,9 +372,31 @@ class TestSlotKernels:
 
     def test_pack_and_sizes(self):
         rows = np.array([[1, 0], [2 ** 64 - 1, 3], [0, 2 ** 17]], dtype=np.uint64)
-        packed = hm._pack_slots(rows)
+        packed = hm.pack_slots(rows)
         assert unpack(packed, 3, 128) == [1, 2 ** 64 - 1 + (3 << 64), 1 << 81]
         assert hm._slot_sizes(packed, 3, 2).tolist() == [1, 66, 1]
+
+    @pytest.mark.parametrize("dims,q", [(4, 2), (2, 4), (2, 3)])
+    def test_expansion_sizes_equal_single_calls(self, dims, q):
+        graph = hm.GraphParams(dims, q)
+        count = graph.vertex_count
+        chunks = list(hm.proper_subset_rows(count, count // 2))
+        assert sum(map(len, chunks)) == sum(
+            1 for bits in range(1, 1 << count) if bits.bit_count() <= count // 2)
+        steps = 3
+        for rows, sizes in hm.expansion_sizes(graph, chunks, steps):
+            for row, got in zip(rows[::97], sizes[::97]):
+                bits = hm.pack_slots(row)
+                want = [bits.bit_count()]
+                for _ in range(steps):
+                    bits = hm._expand_bits(dims, q, bits)
+                    want.append(bits.bit_count())
+                assert got.tolist() == want
+
+    def test_expansion_sizes_refuse_oversized_chunk(self):
+        rows = np.ones((hm.CHUNK + 1, 1), dtype=np.uint64)
+        with pytest.raises(ValueError, match="exceeds"):
+            next(hm.expansion_sizes(hm.GraphParams(4, 2), [rows], 1))
 
     @pytest.mark.parametrize("nbytes", [8, 11])
     def test_bulk_draws_equal_per_call_draws(self, nbytes):

@@ -1,13 +1,7 @@
-"""Perturbation construction: the randomized cell-walk search and exact
-minimal-perturbation oracles.
-
-The cell walk realizes the abstract "nearest different-class point within
-radius" map concretely: jump to a uniform point of the image's cell,
-enumerate the cells of the unit-cube decomposition whose minimal L2
-distance from that point is within the radius (pruned lattice recursion),
-and project onto the closest different-class cell.  Failure is returned
-only when no different-class cell intersects the ball.
-"""
+"""Perturbation construction: the randomized cell-walk search, which
+realizes the "nearest different-class point within radius" map on the
+cells of the unit cube (:func:`find_perturbation`), its failure rate, and
+exact minimal-perturbation oracles."""
 
 from __future__ import annotations
 
@@ -35,7 +29,6 @@ from .image_space import (
     MAX_REJECTIONS,
     ImageTensor,
     SpaceParams,
-    cell_of_point,
     check_enumerable,
     enumerate_space,
     image_from_rank,
@@ -107,9 +100,7 @@ def cell_bounds(params: SpaceParams, level: int) -> tuple[float, float, bool]:
     Cells have width ``2^-b``; all are half-open on top except the last.
     """
     q = params.level_count
-    lo = level / q
-    hi = (level + 1) / q
-    return lo, min(hi, 1.0), level == q - 1
+    return level / q, min((level + 1) / q, 1.0), level == q - 1
 
 
 def cell_diameter(params: SpaceParams) -> float:
@@ -120,11 +111,8 @@ def cell_diameter(params: SpaceParams) -> float:
 def sample_point_in_cell(image: ImageTensor,
                          rng: np.random.Generator) -> ContinuousPoint:
     """Uniform point of the image's cell."""
-    coords = []
-    for level in image.levels:
-        lo, hi, _ = cell_bounds(image.params, level)
-        coords.append(float(rng.uniform(lo, hi)))
-    return ContinuousPoint(tuple(coords))
+    bounds = [cell_bounds(image.params, level) for level in image.levels]
+    return ContinuousPoint(tuple(float(rng.uniform(lo, hi)) for lo, hi, _ in bounds))
 
 
 def _check_radius(radius: float) -> None:
@@ -174,7 +162,7 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
 class _CellWalk:
     """The cell walk of one classifier: its label vector as a memoryview,
     every level's cell bounds and the images built so far, made once per
-    search or per :func:`failure_rate` call."""
+    search or per :func:`failure_rates` call."""
 
     __slots__ = ("classifier", "params", "labels", "bounds", "images")
 
@@ -201,10 +189,33 @@ class _CellWalk:
         """Walk from the point ``coords`` of ``image``'s cell (see
         :func:`find_perturbation`); the radius and the space's size are
         checked by the caller."""
-        params, labels, bounds = self.params, self.labels, self.bounds
+        _, rank, cells_examined = self.walk(coords, base_label, radius)
+        if rank < 0:
+            return PerturbationOutcome(None, 0.0, cells_examined)
+        result, moved = self.witness(image, coords, base_label, rank, radius)
+        return PerturbationOutcome(result, moved, cells_examined)
+
+    def successes(self, image: ImageTensor, coords: Sequence[float],
+                  base_label: int, radii: Sequence[float]) -> list[bool]:
+        """Per radius, whether :meth:`from_point` succeeds at it, from one
+        walk at the largest: pruning is exact, so that walk's cell is the one
+        at every ``r`` with ``best_d2 <= r * r``.  Its contracts are checked
+        once, at the smallest such ``r``."""
+        best_d2, rank, _ = self.walk(coords, base_label, max(radii))
+        hits = [rank >= 0 and best_d2 <= float(r) * float(r) for r in radii]
+        if any(hits):
+            self.witness(image, coords, base_label, rank,
+                         min(r for r, hit in zip(radii, hits) if hit))
+        return hits
+
+    def walk(self, coords: Sequence[float], base_label: int,
+             radius: float) -> tuple[float, int, int]:
+        """``(best_d2, rank, cells_examined)`` of the first nearest cell not
+        labelled ``base_label`` within ``radius``; ``rank`` -1 if none."""
+        labels, bounds = self.labels, self.bounds
         r2 = float(radius) * float(radius)
-        q = params.level_count
-        last = params.dimension - 1
+        q = self.params.level_count
+        last = self.params.dimension - 1
         # Per coordinate: (squared distance from the point, level), sorted.
         candidates = []
         for x in coords:
@@ -216,62 +227,55 @@ class _CellWalk:
             candidates.append(entries)
         leaf_candidates = candidates[last]
 
-        best_d2 = math.inf
-        best_rank = -1
+        best_d2, best_rank = r2, -1  # r2 until a cell is found; ties by rank
         cells_examined = 0
 
         # ``head`` is the rank of the levels chosen above ``depth``, times q.
         def visit(depth: int, partial: float, head: int):
             nonlocal best_d2, best_rank, cells_examined
-            limit = r2 if r2 < best_d2 else best_d2
             if depth == last:
                 for d2, level in leaf_candidates:
                     total = partial + d2
-                    if total > limit:
+                    if total > best_d2:
                         break  # candidates are sorted; the rest are farther
                     cells_examined += 1
                     rank = head + level
                     if labels[rank] != base_label and (
-                            total < best_d2
-                            or (total == best_d2 and rank < best_rank)):
-                        best_d2 = total
-                        best_rank = rank
-                        limit = r2 if r2 < best_d2 else best_d2
+                            total < best_d2 or best_rank < 0 or rank < best_rank):
+                        best_d2, best_rank = total, rank
                 return
             for d2, level in candidates[depth]:
                 total = partial + d2
-                if total > limit:
+                if total > best_d2:
                     break
                 visit(depth + 1, total, (head + level) * q)
-                limit = r2 if r2 < best_d2 else best_d2
 
         visit(0, 0.0, 0)
+        return best_d2, best_rank, cells_examined
 
-        if best_rank < 0:
-            return PerturbationOutcome(result=None, l2_moved=0.0,
-                                       cells_examined=cells_examined)
-
-        result = self.image(best_rank)
-        p2 = []
+    def witness(self, image: ImageTensor, coords: Sequence[float],
+                base_label: int, rank: int,
+                radius: float) -> tuple[ImageTensor, float]:
+        """Cell ``rank`` as an image and the L2 distance moved, after three
+        contracts: another label, the projection of ``coords`` inside the
+        cell, and the distance within ``radius`` plus two cell diameters."""
+        result = self.image(rank)
+        if self.classifier.decide(result) == base_label:
+            raise ContractViolation(f"cell {result.levels} changed its label")
         for x, level in zip(coords, result.levels):
-            lo, hi, closed_top = bounds[level]
+            lo, hi, closed_top = self.bounds[level]
             v = min(max(x, lo), hi)
             if v == hi and not closed_top:
                 v = math.nextafter(hi, lo)  # keep the point inside the half-open cell
-            p2.append(v)
-        if self.classifier.decide(result) == base_label:
-            raise ContractViolation(f"cell {result.levels} changed its label")
-        if cell_of_point(params, p2).levels != result.levels:
-            raise ContractViolation(f"projected point left cell {result.levels}")
-
+            if not (lo <= v < hi or closed_top and v == hi):
+                raise ContractViolation(f"projected point left cell {result.levels}")
         moved = float(norm_distance(image, result, 2))
         # Both endpoints sit inside cells of diameter sqrt(n^2 h)/2^b, and the
         # walk certified ||p1 - p2|| <= radius; the triangle inequality gives
         # the image-space guarantee checked here.
-        if moved > float(radius) + 2 * cell_diameter(params) + 1e-9:
+        if moved > float(radius) + 2 * cell_diameter(self.params) + 1e-9:
             raise ContractViolation(f"moved {moved} beyond radius {radius}")
-        return PerturbationOutcome(result=result, l2_moved=moved,
-                                   cells_examined=cells_examined)
+        return result, moved
 
 
 def nearest_cell_exhaustive(
@@ -292,8 +296,7 @@ def nearest_cell_exhaustive(
     params = classifier.params
     masked = labels_for(classifier) == base_label
     q, total = params.level_count, params.total_images
-    lo = np.array([cell_bounds(params, level)[0] for level in range(q)])
-    hi = np.array([cell_bounds(params, level)[1] for level in range(q)])
+    lo, hi, _ = np.array([cell_bounds(params, level) for level in range(q)]).T
     results = []
     chunk = max(1, _ORACLE_CHUNK_CELLS // total)
     for start in range(0, len(points), chunk):
@@ -337,17 +340,33 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     words computed for many indices at once (:func:`_class_draws`), and
     each sample runs the walk of :func:`find_perturbation` from its point.
     """
+    return failure_rates(classifier, label, (radius,), samples, seed)[0]
+
+
+def failure_rates(classifier: ClassifierHandle, label: int,
+                  radii: Sequence[float], samples: int,
+                  seed: int) -> list[FailureRateReport]:
+    """:func:`failure_rate` at each radius, from one pass of draws and one
+    walk per sample; a bad label, radius or sample count, or no radius, is a
+    ``ValueError`` raised before any labelling."""
+    if not 0 <= label < classifier.label_count:
+        raise ValueError(f"label must be in [0, {classifier.label_count}), "
+                         f"got {label}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_radius(radius)
+    if not radii:
+        raise ValueError("radii must not be empty")
+    for radius in radii:
+        _check_radius(radius)
     walk = _CellWalk(classifier, classifier.labels())
-    failures = 0
+    failures = [0] * len(radii)
     for image, coords in _class_draws(walk, label, samples, seed):
-        if not walk.from_point(image, coords, label, radius).succeeded:
-            failures += 1
-    return FailureRateReport(radius=float(radius), samples=samples,
-                             failures=failures, rate=failures / samples,
-                             ci95=wilson_ci(failures, samples))
+        for at, hit in enumerate(walk.successes(image, coords, label, radii)):
+            failures[at] += not hit
+    return [FailureRateReport(radius=float(radius), samples=samples,
+                              failures=failed, rate=failed / samples,
+                              ci95=wilson_ci(failed, samples))
+            for radius, failed in zip(radii, failures)]
 
 
 def _class_draws(walk: _CellWalk, label: int, samples: int,
@@ -413,9 +432,6 @@ def _search_result(params: SpaceParams, p: int, pow_sum: int,
     top = params.max_level
     if p == 0:
         return PerturbationSearchResult(p, float(pow_sum), pow_sum, witness, method)
-    if p == 1:
-        return PerturbationSearchResult(p, pow_sum / top,
-                                        Fraction(pow_sum, top), witness, method)
     return PerturbationSearchResult(p, pow_sum ** (1 / p) / top,
                                     Fraction(pow_sum, top ** p), witness, method)
 
@@ -432,8 +448,7 @@ def minimal_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     params = image.params
     check_enumerable(params)
     base_label = classifier.decide(image)
-    best = None
-    best_witness = None
+    best = best_witness = None
     for other in enumerate_space(params):
         if classifier.decide(other) == base_label:
             continue
@@ -472,22 +487,17 @@ def attack_sum_classifier(image: ImageTensor, p: int) -> PerturbationSearchResul
         raise NoOtherClass("threshold unreachable from this image")
 
     moves = [0] * len(caps)
+    remaining = needed
     if p <= 1:
-        order = sorted(range(len(caps)), key=lambda i: (-caps[i], i))
-        remaining = needed
-        for i in order:
-            if remaining == 0:
-                break
-            take = min(caps[i], remaining)
-            moves[i] = take
-            remaining -= take
+        for i in sorted(range(len(caps)), key=lambda i: (-caps[i], i)):
+            moves[i] = min(caps[i], remaining)
+            remaining -= moves[i]
     else:
         # Water fill: each unit goes to the smallest current move that
         # still has headroom (marginal cost of a convex power increases
         # with the move size).
         heap = [(0, i) for i in range(len(caps)) if caps[i] > 0]
         heapq.heapify(heap)
-        remaining = needed
         while remaining:
             move, i = heapq.heappop(heap)
             moves[i] = move + 1
@@ -500,8 +510,5 @@ def attack_sum_classifier(image: ImageTensor, p: int) -> PerturbationSearchResul
     classifier = sum_classifier(params)
     if classifier.decide(witness) == classifier.decide(image):
         raise ContractViolation("greedy attack did not cross the threshold")
-    if p == 0:
-        pow_sum = sum(1 for m in moves if m)
-    else:
-        pow_sum = sum(m ** p for m in moves)
+    pow_sum = sum(1 if p == 0 else m ** p for m in moves if m)
     return _search_result(params, p, pow_sum, witness, "sum-analytic")

@@ -487,40 +487,34 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
 
     # Walk contracts against the independent full-enumeration oracle, with
     # the length bound compared exactly on integer level differences.
-    members, points = [], []
+    walks = []  # (member, radius, point), radius-minor
     for index in range(300):
         member = robustness.sample_sum_class_member(
             params, 0, philox_rng(cfg.seed, index))
-        members.append(member)
-        for at in range(len(radii)):
-            points.append(perturb.sample_point_in_cell(
-                member, philox_rng(cfg.seed ^ 0x5EED, index * len(radii) + at)))
-    nearest = perturb.nearest_cell_exhaustive(classifier, points, 0)
+        walks += [(member, radius, perturb.sample_point_in_cell(
+            member, philox_rng(cfg.seed ^ 0x5EED, index * len(radii) + at)))
+            for at, radius in enumerate(radii)]
+    nearest = perturb.nearest_cell_exhaustive(
+        classifier, [point for _, _, point in walks], 0)
     walk = perturb._CellWalk(classifier, classifier.labels())
     contract_bad = None
     worst = math.inf
-    top = params.max_level
-    for index, member in enumerate(members):
-        base_label = walk.labels[member.space_rank()]
-        for at, radius in enumerate(radii):
-            point = points[index * len(radii) + at]
-            oracle_d2, _ = nearest[index * len(radii) + at]
-            outcome = walk.from_point(member, point.coords, base_label, radius)
-            expect_success = oracle_d2 <= radius * radius
-            if outcome.succeeded != expect_success:
-                contract_bad = (index, radius, "completeness")
-                break
-            if outcome.succeeded:
-                # Exact length check: (||i - i'||_2)^2 <= (radius + 2n sqrt(h)/2^b)^2,
-                # both sides rational here (h = 1).
-                pow_sum = level_diff_pow_sum(member, outcome.result, 2)
-                bound = Fraction(radius) + Fraction(2 * params.n, params.level_count)
-                if Fraction(pow_sum, top * top) > bound * bound:
-                    contract_bad = (index, radius, "length-bound")
-                    break
-                worst = min(worst, float(bound) - outcome.l2_moved)
-        if contract_bad:
+    for at, ((member, radius, point), (oracle_d2, _)) in enumerate(
+            zip(walks, nearest)):
+        outcome = walk.from_point(member, point.coords,
+                                  walk.labels[member.space_rank()], radius)
+        if outcome.succeeded != (oracle_d2 <= radius * radius):
+            contract_bad = (at // len(radii), radius, "completeness")
             break
+        if outcome.succeeded:
+            # Exact length check: (||i - i'||_2)^2 <= (radius + 2n sqrt(h)/2^b)^2,
+            # both sides rational here (h = 1).
+            pow_sum = level_diff_pow_sum(member, outcome.result, 2)
+            bound = Fraction(radius) + Fraction(2 * params.n, params.level_count)
+            if Fraction(pow_sum, params.max_level ** 2) > bound * bound:
+                contract_bad = (at // len(radii), radius, "length-bound")
+                break
+            worst = min(worst, float(bound) - outcome.l2_moved)
     checks.append(CheckResult(
         "theorem3/walk-contracts-(2,1,2)", contract_bad is None, worst,
         "300 seeded members, radii (1.5, 2.0): success iff a different-class "
@@ -541,9 +535,9 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
         failed = [0] * len(WALK_ORACLE_RADII)
         for index, ((member, point), (oracle_d2, _)) in enumerate(
                 zip(draws, nearest)):
-            for at, radius in enumerate(WALK_ORACLE_RADII):
-                succeeded = case_walk.from_point(member, point, 0,
-                                                 radius).succeeded
+            hits = case_walk.successes(member, point, 0, WALK_ORACLE_RADII)
+            for at, (radius, succeeded) in enumerate(
+                    zip(WALK_ORACLE_RADII, hits)):
                 failed[at] += not succeeded
                 if mismatch is None and succeeded != (
                         oracle_d2 <= radius * radius):
@@ -557,9 +551,8 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
         + "; ".join(failures)
         + (f"; mismatch {mismatch}" if mismatch else "")))
 
-    for radius in radii:
-        report = perturb.failure_rate(classifier, 0, radius, cfg.samples,
-                                      cfg.seed)
+    for radius, report in zip(radii, perturb.failure_rates(
+            classifier, 0, radii, cfg.samples, cfg.seed)):
         bound = 2.0 * math.exp(-radius * radius / 2) + 0.02
         margin = bound - report.ci95[1]
         checks.append(CheckResult(

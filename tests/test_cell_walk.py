@@ -285,3 +285,45 @@ def test_bad_radius_rejected(radius):
     with pytest.raises(ValueError, match="radius"):
         pt.failure_rate(classifier, 0, radius, samples=5, seed=1)
 
+
+def test_projection_outside_its_cell_is_a_contract_violation(monkeypatch):
+    # level 2 of (1,1,2) is class 1; its point lies above class-0 cell 1,
+    # whose upper face 0.5 belongs to cell 2 unless the projection steps
+    # off it
+    params = SpaceParams(1, 1, 2)
+    classifier = sum_classifier(params)
+    image = ImageTensor(params, (2,))
+    outcome = pt.find_perturbation(classifier, image, 1.0, seed=1)
+    assert outcome.result.levels == (1,)
+    monkeypatch.setattr(math, "nextafter", lambda x, toward: x)
+    with pytest.raises(ContractViolation,
+                       match=r"projected point left cell \(1,\)"):
+        pt.find_perturbation(classifier, image, 1.0, seed=1)
+
+
+def test_moved_bound_checked_at_the_smallest_successful_radius(monkeypatch):
+    params = SpaceParams(2, 1, 2)
+    classifier = sum_classifier(params)
+    walk = pt._CellWalk(classifier, classifier.labels())
+    image, coords = next(
+        (image, coords) for image, coords in pt._class_draws(walk, 0, 100, 7)
+        if walk.successes(image, coords, 0, (0.25,)) == [True])
+    # two cell diameters are 1.0 here: 1.5 is within radius 1.0, not 0.25
+    assert 2 * pt.cell_diameter(params) == 1.0
+    monkeypatch.setattr(pt, "norm_distance", lambda a, b, p: 1.5)
+    assert walk.successes(image, coords, 0, (1.0, 1.0)) == [True, True]
+    with pytest.raises(ContractViolation, match="moved 1.5 beyond radius 0.25"):
+        walk.successes(image, coords, 0, (1.0, 0.25))
+
+
+def test_successes_at_the_exact_radius():
+    # the point 0.625 of cell 2 of (1,1,2) lies 0.125 above class-0 cell 1
+    params = SpaceParams(1, 1, 2)
+    classifier = sum_classifier(params)
+    walk = pt._CellWalk(classifier, classifier.labels())
+    image = ImageTensor(params, (2,))
+    label = walk.labels[image.space_rank()]
+    radii = (1.0, 0.125, math.nextafter(0.125, 0))
+    assert walk.successes(image, (0.625,), label, radii) == [True, True, False]
+    assert [walk.from_point(image, (0.625,), label, radius).succeeded
+            for radius in radii] == [True, True, False]

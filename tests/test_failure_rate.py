@@ -9,12 +9,13 @@ cell point and outcome.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from robustness_envelope import perturb as pt
-from robustness_envelope import image_space
+from robustness_envelope import image_space, robustness, verify
 from robustness_envelope.classifiers import (
     ClassifierHandle,
     parse_classifier_spec,
@@ -23,6 +24,7 @@ from robustness_envelope.classifiers import (
 from robustness_envelope.errors import EmptyClass
 from robustness_envelope.image_space import (
     ImageTensor,
+    PerturbationBudget,
     SpaceParams,
     philox_rng,
 )
@@ -70,6 +72,16 @@ def reference_draws(classifier, label, samples, seed):
         out.append((member.levels,
                     list(pt.sample_point_in_cell(member, rng).coords)))
     return out
+
+
+def unlabelled(params):
+    """A two-label handle that fails any attempt to label an image."""
+    def labelled(*_):
+        raise AssertionError("labelled before the arguments were checked")
+
+    return ClassifierHandle(params=params, label_count=2, decide=labelled,
+                            kind="unlabelled", spec="unlabelled",
+                            batch=labelled)
 
 
 def rare_classifier(params, members):
@@ -177,3 +189,38 @@ class TestRejectionLimit:
                 for member, point in itertools.islice(draws, 11)] == want
         with pytest.raises(EmptyClass):
             next(draws)
+
+
+class TestFailureRates:
+    @pytest.mark.parametrize("shape,spec", verify.WALK_ORACLE_CASES)
+    def test_equal_one_radius_at_a_time(self, shape, spec):
+        classifier = parse_classifier_spec(spec, SpaceParams(*shape))
+        for radii in ((0.25, 0.5, 1.0, math.inf),
+                      (1.0, 0.25, math.inf, 0.5, 0.25)):
+            got = pt.failure_rates(classifier, 0, radii, 300, 4)
+            assert got == [pt.failure_rate(classifier, 0, radius, 300, 4)
+                           for radius in radii]
+            by_radius = {report.radius: report.failures for report in got}
+            assert by_radius[0.25] > by_radius[1.0] >= by_radius[math.inf] == 0
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_out_of_range_as_class_robust_fraction(self, label):
+        classifier = unlabelled(SpaceParams(2, 1, 1))
+        with pytest.raises(ValueError) as want:
+            robustness.class_robust_fraction(classifier, label,
+                                             PerturbationBudget(0, 1))
+        with pytest.raises(ValueError) as got:
+            pt.failure_rate(classifier, label, 1.0, 5, 1)
+        assert str(got.value) == str(want.value) == (
+            f"label must be in [0, 2), got {label}")
+
+    @pytest.mark.parametrize("radii,samples,match", [
+        ((), 5, "radii must not be empty"),
+        ((1.0, -0.5), 5, "radius must be >= 0, got -0.5"),
+        ((math.nan, 1.0), 5, "radius must be >= 0, got nan"),
+        ((1.0,), 0, "samples must be >= 1, got 0"),
+    ])
+    def test_refused_before_any_labelling(self, radii, samples, match):
+        with pytest.raises(ValueError, match=match):
+            pt.failure_rates(unlabelled(SpaceParams(2, 1, 1)), 0, radii,
+                             samples, 1)

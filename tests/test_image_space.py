@@ -244,7 +244,7 @@ def raw_words(seed, index, count):
 
 class TestPhiloxWords:
     def test_every_failure_rate_stream_of_seed_7(self):
-        # theorem3's two failure-rate checks read indices 0..9999 twice;
+        # theorem3's failure-rate checks read indices 0..9999;
         # 0..19999 covers them and a margin beyond
         got = isp.philox_words(7, np.arange(20_000), 8)
         assert got.dtype == np.uint64 and got.shape == (20_000, 8)

@@ -1,6 +1,7 @@
 """The slot-packed hamming sweeps against the per-subset loops they replace,
 and the verify configuration's contracts."""
 
+import collections
 import dataclasses
 import math
 import random
@@ -471,21 +472,37 @@ class TestWalkEqualsOracle:
 
     def test_incomplete_walk_fails_only_this_check(self, monkeypatch):
         # a walk that gives up after ten cells at radius 0.5
-        walk = perturb._CellWalk.from_point
+        successes = perturb._CellWalk.successes
 
-        def gives_up(self, image, coords, base_label, radius):
-            outcome = walk(self, image, coords, base_label, radius)
-            if radius == 0.5 and outcome.cells_examined > 10:
-                return perturb.PerturbationOutcome(None, 0.0,
-                                                   outcome.cells_examined)
-            return outcome
+        def gives_up(self, image, coords, base_label, radii):
+            hits = successes(self, image, coords, base_label, radii)
+            if 0.5 in radii and self.walk(coords, base_label, 0.5)[2] > 10:
+                return [hit and radius != 0.5
+                        for radius, hit in zip(radii, hits)]
+            return hits
 
-        monkeypatch.setattr(perturb._CellWalk, "from_point", gives_up)
+        monkeypatch.setattr(perturb._CellWalk, "successes", gives_up)
         checks = self.checks()
         failed = [check_id for check_id, c in checks.items() if not c.passed]
         assert failed == ["theorem3/walk-equals-oracle"]
         detail = checks["theorem3/walk-equals-oracle"].detail
         assert "; mismatch ((2, 1, 2), 'sum', 0.5, " in detail
+
+    def test_each_point_walked_once(self, monkeypatch):
+        # 600 contract walks, one per (member, radius) point; 1500
+        # walk-equals-oracle draws at radius 0.5 and 10,000 failure-rate
+        # draws at radius 2.0, each walked once for both of its radii
+        radii = collections.Counter()
+        walk = perturb._CellWalk.walk
+
+        def counted(self, coords, base_label, radius):
+            radii[radius] += 1
+            return walk(self, coords, base_label, radius)
+
+        monkeypatch.setattr(perturb._CellWalk, "walk", counted)
+        verify.suite_theorem3(verify.VerifyConfig())
+        assert radii == {1.5: 300, 2.0: 10_300, 0.5: 1500}
+        assert sum(radii.values()) == 12_100
 
     def test_oracle_disagreeing_fails(self, monkeypatch):
         oracle = perturb.nearest_cell_exhaustive

@@ -30,6 +30,9 @@ MAX_MATERIALIZED_VERTICES = 1 << 26
 # Subsets packed into one integer per expansion step.  4096 ran no faster
 # and raised the hamming suite's peak RSS by about 1 MiB more.
 CHUNK = 2048
+# Bits one packed chunk holds at most: rows wider than 512 bits go fewer
+# than CHUNK to a chunk, which bounds the chunk's digit masks too.
+PACKED_BITS = 1 << 20
 # slack of the Harper expansion bound for the root solver's error
 HARPER_TOL = 1e-9
 
@@ -110,6 +113,14 @@ def full_row(count: int) -> np.ndarray:
     words = _slot_width(count) // 64
     return np.frombuffer(((1 << count) - 1).to_bytes(words * 8, "little"),
                          dtype="<u8")
+
+
+def subset_rows(members: np.ndarray) -> np.ndarray:
+    """Slot rows of uint64 words, one per row of a boolean array over the
+    vertices, each the subset of vertices marked in its row."""
+    packed = np.packbits(members, axis=1, bitorder="little")
+    pad = _slot_width(members.shape[1]) // 8 - packed.shape[1]
+    return np.pad(packed, ((0, 0), (0, pad))).view("<u8")
 
 
 def pack_slots(rows: np.ndarray) -> int:
@@ -194,12 +205,16 @@ def expansion_sizes(graph: GraphParams, chunks,
                     steps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each chunk of at most ``CHUNK`` slot rows with its sizes
     ``|Exp^k S|`` for k = 0..steps, one column per k, expanding the whole
-    chunk slot-packed."""
-    masks = _slot_masks(graph.dims, graph.alphabet, CHUNK)
+    chunk slot-packed.  The digit masks are built for the next power of
+    two at or above the largest chunk so far, at most ``CHUNK`` slots."""
+    built, masks = 0, None
     for rows in chunks:
         slots, words = rows.shape
         if slots > CHUNK:
             raise ValueError(f"chunk of {slots} rows exceeds {CHUNK}")
+        if slots > built:
+            built = min(CHUNK, 1 << (slots - 1).bit_length())
+            masks = _slot_masks(graph.dims, graph.alphabet, built)
         sizes = np.empty((slots, steps + 1), dtype=np.int64)
         sizes[:, 0] = _row_sizes(rows)
         grown = pack_slots(rows)
@@ -381,6 +396,8 @@ def interior_ratio_cases(dims: int, c_values) -> list[tuple]:
         radius = math.isqrt(math.floor(Fraction(c) ** 2 * dims)) + 2
         x = float(c)
         cases.append((c, radius, 2.0 * math.exp(-2.0 * x * x)))
+    if not cases:
+        raise ValueError("c_values must not be empty")
     return cases
 
 

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -404,36 +404,55 @@ class Theorem1Report:
         return all(e.holds for e in self.entries)
 
 
-def theorem1_holds(classifier: ClassifierHandle,
-                   c_values: Sequence[float]) -> Theorem1Report:
-    """Exhaustive check of the universal non-robustness bound.
+def theorem1_reports(classifiers: Iterable[ClassifierHandle],
+                     c_values: Sequence[float]) -> Iterator[Theorem1Report]:
+    """Exhaustive check of the universal non-robustness bound: one report
+    per classifier, in order, all of one space (else ``ValueError``).
 
     For every interesting class and every c: the robust fraction at the
     count-norm budget ``floor(c sqrt(h) n) + 2`` must be strictly below
     ``2 e^{-2 c^2}``, decided by :func:`hamming.interior_ratio_holds` on
-    the cases of :func:`hamming.interior_ratio_cases`.
-    """
-    params = classifier.params
-    cases = hamming.interior_ratio_cases(params.h * params.n ** 2, c_values)
-    labels, verdicts = _exhaustive(
-        classifier, [PerturbationBudget(0, radius) for _, radius, _ in cases])
-    counts = np.bincount(labels, minlength=classifier.label_count)
-    interesting = [label for label, count in enumerate(counts)
-                   if is_interesting(int(count), params)]
-    robust = np.array(
-        [np.bincount(labels[flags], minlength=classifier.label_count)
-         for flags in verdicts], dtype=np.int64
-    ).reshape(len(cases), classifier.label_count)[:, interesting].T
-    sizes = counts[interesting]
+    the cases of :func:`hamming.interior_ratio_cases`.  The robust members
+    at radius r are the images outside ``Exp^r`` of the class's complement,
+    each complement one slot row of :func:`hamming.expansion_sizes`."""
+    classifiers = list(classifiers)
+    if not classifiers:
+        return
+    params = classifiers[0].params
+    if any(classifier.params != params for classifier in classifiers):
+        raise ValueError(f"a batch holds one space, {params}, got others")
+    cases = hamming.interior_ratio_cases(params.dimension, c_values)
+    radii = [min(radius, params.dimension) for _, radius, _ in cases]
+    limit = max(1, min(hamming.CHUNK, hamming.PACKED_BITS // params.total_images))
+    interesting, rows = [], []
+    for classifier in classifiers:
+        labels = classifier.labels()
+        classes = np.array([label for label, count in enumerate(np.bincount(labels))
+                            if is_interesting(int(count), params)], labels.dtype)
+        interesting.append(classes.tolist())
+        rows.append(hamming.subset_rows(labels != classes[:, None]))
+    rows = np.concatenate(rows)
+    grown = hamming.expansion_sizes(
+        hamming.GraphParams(params.dimension, params.level_count),
+        (rows[at:at + limit] for at in range(0, len(rows), limit)), max(radii))
+    interiors = params.total_images - np.concatenate(
+        [np.zeros((0, max(radii) + 1), dtype=np.int64)]  # when no rows
+        + [sizes for _, sizes in grown])
+    robust, sizes = interiors[:, radii], interiors[:, 0]
     margins, holds = hamming.interior_ratio_holds(robust, sizes, cases)
-    entries = []
-    for col, (c, budget, bound) in enumerate(cases):
-        for row, label in enumerate(interesting):
-            entries.append(Theorem1Entry(
-                label=label, c=float(c), budget=budget,
-                class_size=int(sizes[row]), robust_count=int(robust[row, col]),
-                fraction=Fraction(int(robust[row, col]), int(sizes[row])),
-                bound=bound, margin=float(margins[row, col]),
-                holds=bool(holds[row, col])))
-    return Theorem1Report(classifier=classifier.spec, space=params,
-                          entries=tuple(entries))
+    table = zip(sizes.tolist(), robust.tolist(), margins.tolist(), holds.tolist())
+    for classifier, classes in zip(classifiers, interesting):
+        mine = list(zip(classes, itertools.islice(table, len(classes))))
+        yield Theorem1Report(classifier=classifier.spec, space=params, entries=tuple(
+            Theorem1Entry(label=label, c=float(c), budget=budget,
+                          class_size=size, robust_count=kept[col],
+                          fraction=Fraction(kept[col], size), bound=bound,
+                          margin=margin[col], holds=ok[col])
+            for col, (c, budget, bound) in enumerate(cases)
+            for label, (size, kept, margin, ok) in mine))
+
+
+def theorem1_holds(classifier: ClassifierHandle,
+                   c_values: Sequence[float]) -> Theorem1Report:
+    """:func:`theorem1_reports` of one classifier."""
+    return next(theorem1_reports([classifier], c_values))

@@ -400,14 +400,13 @@ _THEOREM1_C = (0.5, 0.75, 1.0)
 
 def _theorem1_batch(check_id: str, classifiers, c_values) -> CheckResult:
     worst = math.inf
-    for classifier in classifiers:
-        report = robustness.theorem1_holds(classifier, c_values)
+    for report in robustness.theorem1_reports(classifiers, c_values):
         for entry in report.entries:
             if entry.margin < worst:
                 worst = entry.margin
             if not entry.holds:
                 return CheckResult(check_id, False, worst,
-                                   f"violated by {classifier.spec} label "
+                                   f"violated by {report.classifier} label "
                                    f"{entry.label} at c={entry.c}")
     return CheckResult(check_id, True, worst, f"c grid {tuple(c_values)}")
 

@@ -73,3 +73,24 @@ def test_first_operation_of_every_workload(bench):
     assert metrics["exactmath.tail_table_calls"] > 0
     assert metrics["perturb.find_calls"] > 0
     assert metrics["robustness.labels_s"] > 0
+
+
+def test_first_theorem1_operation_of_exhaustive_robustness(bench):
+    # pins the benchmark's theorem1_holds(clf, c_values) call
+    tracing, workloads = bench
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload = workloads.WORKLOADS["exhaustive-robustness"]
+        state = workload.build(1)
+        workload.reset(state)
+        key, op = next((key, op) for key, op in workload.ops(state)
+                       if key[0] == "theorem1")
+        report = tracer.op(op)()
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert report.entries and report.all_hold, key
+    assert {e.c for e in report.entries} == set(workloads.THEOREM1_C)
+    assert metrics["robustness.theorem1_s"] > 0
+    assert metrics["hamming.expand_calls"] > 0

@@ -7,7 +7,11 @@ import pytest
 from robustness_envelope import hamming as hm
 from robustness_envelope import robustness as rb
 from robustness_envelope import verify
-from robustness_envelope.classifiers import random_classifier, sum_classifier
+from robustness_envelope.classifiers import (
+    ClassifierHandle,
+    random_classifier,
+    sum_classifier,
+)
 from robustness_envelope.errors import (
     BallTooLarge,
     EmptyClass,
@@ -317,6 +321,100 @@ class TestTheorem1:
             c = random_classifier(P211, 2, "balanced", seed)
             assert rb.theorem1_holds(c, [0.5, 0.75, 1.0]).all_hold
 
+    def test_empty_c_grid_refused(self):
+        # no c, no entry: all_hold would pass vacuously
+        with pytest.raises(ValueError, match="c_values must not be empty"):
+            rb.theorem1_holds(SUM211, [])
+
+
+def constant_classifier(params):
+    """Every image in class 0 of 2: no class is interesting."""
+    labels = np.zeros(params.total_images, dtype=np.uint8)
+    return ClassifierHandle(params=params, label_count=2,
+                            decide=lambda image: 0, kind="constant",
+                            spec="constant", batch=lambda: labels)
+
+
+def recorded_chunks(monkeypatch):
+    """The row count of every chunk ``hamming.expansion_sizes`` expands."""
+    chunk_rows = []
+    real = hm.expansion_sizes
+
+    def expansion_sizes(graph, chunks, steps):
+        for rows, sizes in real(graph, chunks, steps):
+            chunk_rows.append(len(rows))
+            yield rows, sizes
+
+    monkeypatch.setattr(hm, "expansion_sizes", expansion_sizes)
+    return chunk_rows
+
+
+class TestTheorem1Batch:
+    GRID = (0.25, 0.5, 0.75, 1.0)
+
+    @pytest.mark.parametrize("params", [P211, P212],
+                             ids=lambda p: f"{p.n}x{p.h}x{p.b}")
+    def test_batch_equals_single_reports_and_interiors(self, params):
+        battery = oracle_battery(params) + [constant_classifier(params)]
+        battery += [random_classifier(params, 3, "uniform", seed)
+                    for seed in range(6)]
+        reports = list(rb.theorem1_reports(battery, self.GRID))
+        assert reports == [rb.theorem1_holds(c, self.GRID) for c in battery]
+        graph = hm.GraphParams(params.dimension, params.level_count)
+        for classifier, report in zip(battery, reports):
+            assert report.classifier == classifier.spec
+            assert report.space == params
+            labels = classifier.labels()
+            counts = np.bincount(labels, minlength=classifier.label_count)
+            interesting = [label for label, count in enumerate(counts)
+                           if 1 <= count <= params.total_images // 2]
+            assert [(e.c, e.label) for e in report.entries] == [
+                (c, label) for c in self.GRID for label in interesting]
+            for entry in report.entries:
+                members = hm.HammingSubset(graph, class_bits(classifier,
+                                                             entry.label))
+                assert entry.class_size == members.size
+                assert entry.robust_count == hm.interior_k(
+                    members, entry.budget).size
+        assert reports[-7].entries == ()  # the constant classifier
+        assert any(e.label == 2 for r in reports[-6:] for e in r.entries)
+
+    def test_batch_spans_two_chunks(self, monkeypatch):
+        # 1100 balanced classifiers on 16 images: 2200 complement rows
+        battery = [random_classifier(P211, 2, "balanced", seed)
+                   for seed in range(1100)]
+        chunk_rows = recorded_chunks(monkeypatch)
+        reports = list(rb.theorem1_reports(battery, verify._C_GRID))
+        assert chunk_rows[:2] == [hm.CHUNK, 2200 - hm.CHUNK]
+        monkeypatch.undo()
+        assert len(reports) == 1100
+        for classifier, report in zip(battery[::37], reports[::37]):
+            assert report == rb.theorem1_holds(classifier, verify._C_GRID)
+        # across the chunk boundary, against the cost-layered engine
+        for classifier, report in zip(battery[1020:1030], reports[1020:1030]):
+            for entry in report.entries:
+                budget = PerturbationBudget(0, entry.budget)
+                assert entry.robust_count == rb.class_robust_fraction(
+                    classifier, entry.label, budget).robust_count
+
+    def test_wide_rows_pack_fewer_to_a_chunk(self, monkeypatch):
+        # PACKED_BITS of 5 rows of 256 images: 50 rows go in 10 chunks
+        battery = [random_classifier(P212, 2, "balanced", seed)
+                   for seed in range(25)]
+        want = list(rb.theorem1_reports(battery, verify._C_GRID))
+        chunk_rows = recorded_chunks(monkeypatch)
+        monkeypatch.setattr(hm, "PACKED_BITS", 5 * 256 + 255)
+        assert list(rb.theorem1_reports(battery, verify._C_GRID)) == want
+        assert chunk_rows == [5] * 10
+
+    def test_mixed_spaces_refused(self):
+        batch = [SUM211, sum_classifier(P212), SUM211]
+        with pytest.raises(ValueError, match="one space"):
+            next(rb.theorem1_reports(batch, [0.5]))
+
+    def test_empty_batch_yields_nothing(self):
+        assert list(rb.theorem1_reports([], [0.5])) == []
+
 
 ORACLE_SHAPES = ((2, 1, 1), (2, 1, 2), (3, 1, 1), (1, 5, 2), (1, 11, 1),
                  (1, 2, 3), (1, 1, 4), (1, 3, 2))
@@ -439,8 +537,13 @@ class TestEngineAgainstOracles:
             counted, calls = counting(classifier)
             rb.class_robust_fraction(counted, 0, PerturbationBudget(1, 1))
             assert calls[0] == 256
+            # theorem 1 reads the handle's batch labels; without a batch,
+            # one decide per image
             calls[0] = 0
             rb.theorem1_holds(counted, [0.5, 0.75, 1.0])
+            assert calls[0] == 0
+            rb.theorem1_holds(dataclasses.replace(counted, batch=None),
+                              [0.5, 0.75, 1.0])
             assert calls[0] == 256
 
     def test_wide_level_grid(self):

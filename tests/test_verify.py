@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from robustness_envelope import cli, exactmath, perturb, robustness, verify
 from robustness_envelope import hamming as hm
-from robustness_envelope.classifiers import sum_classifier
+from robustness_envelope.classifiers import random_classifier, sum_classifier
 from robustness_envelope.image_space import (
     PerturbationBudget,
     SpaceParams,
@@ -248,6 +249,60 @@ def test_theorem1_is_decided_in_one_place(monkeypatch, capsys):
             "violated by sum label 0 at c=1.0") in out
 
 
+def one_call_per_classifier(check_id, classifiers, c_values):
+    """Oracle for ``verify._theorem1_batch``: one ``theorem1_holds`` call
+    per classifier, walked in order."""
+    worst = math.inf
+    for classifier in classifiers:
+        for entry in robustness.theorem1_holds(classifier, c_values).entries:
+            worst = min(worst, entry.margin)
+            if not entry.holds:
+                return verify.CheckResult(
+                    check_id, False, worst, f"violated by {classifier.spec} "
+                    f"label {entry.label} at c={entry.c}")
+    return verify.CheckResult(check_id, True, worst,
+                              f"c grid {tuple(c_values)}")
+
+
+def test_theorem1_batch_fails_where_single_calls_do(monkeypatch):
+    # At c = 2 the patched case has radius 1 and float bound 0.2: a class
+    # of 8 with 2 members at distance > 1 from the other class fails (the
+    # certified comparison confirms 1/4 >= 2 e^-8), one with 1 passes.
+    # Every classifier but one has at most 1, and that one sits after the
+    # first chunk of 2048 rows.
+    params = SpaceParams(2, 1, 1)
+    graph = hm.GraphParams(params.dimension, params.level_count)
+
+    def deepest(classifier):
+        labels = classifier.labels()
+        return max(hm.interior_k(hm.HammingSubset.from_members(
+            graph, np.flatnonzero(labels == label).tolist()), 1).size
+            for label in (0, 1))
+
+    shallow, deep = [], []
+    for seed in range(1200):
+        classifier = random_classifier(params, 2, "balanced", seed)
+        (deep if deepest(classifier) >= 2 else shallow).append(classifier)
+    assert len(shallow) >= 1100 and deep
+    batch = shallow[:1050] + deep[:1] + shallow[1050:1100]
+    real = hm.interior_ratio_cases
+
+    def cases(dims, c_values):
+        return [(c, 1, 0.2) if c == 2.0 else (c, radius, bound)
+                for c, radius, bound in real(dims, c_values)]
+
+    monkeypatch.setattr(hm, "interior_ratio_cases", cases)
+    grid = (0.5, 2.0)
+    got = verify._theorem1_batch("theorem1/forced", batch, grid)
+    want = one_call_per_classifier("theorem1/forced", batch, grid)
+    assert got == want
+    assert not got.passed and got.detail.startswith(
+        f"violated by {deep[0].spec} label ")
+    # and a batch that holds everywhere reads the same worst margin
+    assert (verify._theorem1_batch("theorem1/ok", shallow[:300], grid)
+            == one_call_per_classifier("theorem1/ok", shallow[:300], grid))
+
+
 def test_first_failure_worst_margin():
     margins = np.array([[0.5, -3.0], [0.25, -1.0], [-2.0, -4.0]])
     assert verify._first_failure(margins, iter([])) == (-4.0, None)
@@ -393,6 +448,42 @@ class TestSlotKernels:
                     bits = hm._expand_bits(dims, q, bits)
                     want.append(bits.bit_count())
                 assert got.tolist() == want
+
+    def test_expansion_sizes_masks_fit_the_chunk(self):
+        # masks for CHUNK slots of H(11, 2) take over 10 MiB
+        graph = hm.GraphParams(11, 2)
+        rows = np.zeros((2, hm._slot_width(graph.vertex_count) // 64),
+                        dtype=np.uint64)
+        rows[:, 0] = [1, 6]
+        hm._step_masks(11, 2)  # cached across calls: outside the trace
+        tracemalloc.start()
+        try:
+            [(_, sizes)] = hm.expansion_sizes(graph, [rows], 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sizes.tolist() == [[1, 12, 67], [2, 22, 112]]
+
+    @pytest.mark.parametrize("dims,q", [(4, 2), (2, 4), (6, 2)])
+    def test_expansion_sizes_any_chunking(self, dims, q):
+        graph = hm.GraphParams(dims, q)
+        rows = next(hm.seeded_subset_rows(graph.vertex_count, hm.CHUNK, 3))
+        steps = 3
+
+        def sizes_of(chunks):
+            return np.concatenate([sizes for _, sizes in
+                                   hm.expansion_sizes(graph, chunks, steps)])
+
+        want = sizes_of([rows])
+        for size in (1, 3, hm.CHUNK):
+            assert np.array_equal(want, sizes_of(
+                rows[at:at + size] for at in range(0, len(rows), size)))
+        # masks built for a small chunk are rebuilt for a larger one
+        for cut in (1, 5, 700):
+            assert np.array_equal(want, sizes_of([rows[:cut], rows[cut:]]))
+            assert np.array_equal(want[:cut], sizes_of([rows[:cut]]))
+            assert np.array_equal(want[cut:], sizes_of([rows[cut:]]))
 
     def test_expansion_sizes_refuse_oversized_chunk(self):
         rows = np.ones((hm.CHUNK + 1, 1), dtype=np.uint64)

@@ -1,12 +1,14 @@
 """Hamming graphs: dense vertex subsets, expansion, interior, and the
-isoperimetric checks that drive the universal non-robustness bound.
+two isoperimetric bounds behind the universal non-robustness bound.
 
 Subsets are stored as big-integer bitsets (bit v set iff vertex v is a
 member), so expansion is a handful of shift/mask operations per
 coordinate instead of a per-vertex neighbor loop.  Many subsets can be
 packed side by side into one integer, one slot of whole 64-bit words
 each, and expanded by the same operations.  A slow per-vertex
-implementation is kept alongside as a cross-check oracle.
+implementation is kept alongside as a cross-check oracle.  Theorem 1's
+interior ratio (:func:`interior_ratios`) and Harper's expansion bound
+(:func:`harper_bounds`) are decided here for whole blocks of slot rows.
 
 Vertex ``r`` of ``H(n^2 h, 2^b)`` (first coordinate most significant)
 is ``image_from_rank(params, r)``, so graph distance is the count norm.
@@ -201,27 +203,29 @@ def seeded_subset_rows(count: int, how_many: int,
         yield rows
 
 
-def expansion_sizes(graph: GraphParams, chunks,
+def expansion_sizes(graph: GraphParams, blocks,
                     steps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each chunk of at most ``CHUNK`` slot rows with its sizes
-    ``|Exp^k S|`` for k = 0..steps, one column per k, expanding the whole
-    chunk slot-packed.  The digit masks are built for the next power of
-    two at or above the largest chunk so far, at most ``CHUNK`` slots."""
+    """Each block of slot rows in chunks of at most ``CHUNK`` rows and
+    ``PACKED_BITS`` bits (or one row), each chunk with its sizes ``|Exp^k S|``
+    for k = 0..steps, one column per k, expanded slot-packed under digit
+    masks for the next power of two at or above the largest chunk so far."""
+    dims, q = graph.dims, graph.alphabet
     built, masks = 0, None
-    for rows in chunks:
-        slots, words = rows.shape
-        if slots > CHUNK:
-            raise ValueError(f"chunk of {slots} rows exceeds {CHUNK}")
-        if slots > built:
-            built = min(CHUNK, 1 << (slots - 1).bit_length())
-            masks = _slot_masks(graph.dims, graph.alphabet, built)
-        sizes = np.empty((slots, steps + 1), dtype=np.int64)
-        sizes[:, 0] = _row_sizes(rows)
-        grown = pack_slots(rows)
-        for k in range(1, steps + 1):
-            grown = _expand_bits(graph.dims, graph.alphabet, grown, slots, masks)
-            sizes[:, k] = _slot_sizes(grown, slots, words)
-        yield rows, sizes
+    for block in blocks:
+        limit = max(1, min(CHUNK, PACKED_BITS // (64 * block.shape[1])))
+        for at in range(0, len(block), limit):
+            rows = block[at:at + limit]
+            slots, words = rows.shape
+            if slots > built:
+                built = 1 << (slots - 1).bit_length()
+                masks = _slot_masks(dims, q, built)
+            sizes = np.empty((slots, steps + 1), dtype=np.int64)
+            sizes[:, 0] = _row_sizes(rows)
+            grown = pack_slots(rows)
+            for k in range(1, steps + 1):
+                grown = _expand_bits(dims, q, grown, slots, masks)
+                sizes[:, k] = _slot_sizes(grown, slots, words)
+            yield rows, sizes
 
 
 def _within_cost_bits(dims: int, q: int, bits: int, p: int,
@@ -391,8 +395,8 @@ def interior_ratio_cases(dims: int, c_values) -> list[tuple]:
     ``floor(sqrt(x)) = isqrt(floor(x))``, and ``bound = 2 e^{-2c^2}``."""
     cases = []
     for c in c_values:
-        if c <= 0:
-            raise ValueError(f"c must be positive, got {c}")
+        if not 0 < c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {c}")
         radius = math.isqrt(math.floor(Fraction(c) ** 2 * dims)) + 2
         x = float(c)
         cases.append((c, radius, 2.0 * math.exp(-2.0 * x * x)))
@@ -426,6 +430,51 @@ def interior_ratio_holds(interiors: np.ndarray, sizes: np.ndarray,
     return margins, holds
 
 
+def interior_ratios(graph: GraphParams, blocks, cases) -> Iterator[tuple]:
+    """``(rows, sizes, interiors, margins, holds)`` per packed chunk of the
+    vertex sets in each block of slot rows: ``|S|``, ``|Int^r S|`` at each
+    case's radius and :func:`interior_ratio_holds` of the two.  An interior
+    is ``q^n - |Exp^r|`` of the complement, expanded at most ``dims`` steps:
+    ``Exp^k`` of any set is fixed from the graph's diameter on."""
+    count, full = graph.vertex_count, full_row(graph.vertex_count)
+    radii = [min(radius, graph.dims) for _, radius, _ in cases]
+    for complements, grown in expansion_sizes(
+            graph, (rows ^ full for rows in blocks), max(radii)):
+        interiors, sizes = count - grown[:, radii], count - grown[:, 0]
+        yield (complements ^ full, sizes, interiors,
+               *interior_ratio_holds(interiors, sizes, cases))
+
+
+def _harper_verdict(graph: GraphParams, k: int, size: int, reached: int,
+                    memo: dict) -> tuple[Fraction, float, bool]:
+    """Harper's bound (:func:`exactmath.harper_rhs`) on ``|Exp^k S|/q^n`` for
+    ``|S| = size``, and the margin and verdict ``reached/q^n >= bound -
+    HARPER_TOL`` (the root solver's error), memoized in ``memo``."""
+    if (k, size, reached) not in memo:
+        count, tol = graph.vertex_count, Fraction(HARPER_TOL)
+        if (k, size) not in memo:
+            memo[k, size] = exactmath.harper_rhs(graph.dims, k,
+                                                 Fraction(size, count), tol)
+        bound, lhs = memo[k, size], Fraction(reached, count)
+        memo[k, size, reached] = bound, float(lhs - bound), lhs >= bound - tol
+    return memo[k, size, reached]
+
+
+def harper_bounds(graph: GraphParams, blocks, ks) -> Iterator[tuple]:
+    """``(rows, margins, holds)`` per packed chunk of the vertex sets in
+    each block of slot rows, by :func:`_harper_verdict`, one column per k."""
+    count, memo = graph.vertex_count, {}
+    for rows, sizes in expansion_sizes(graph, blocks, max(ks)):
+        judged = np.empty((2, len(rows), len(ks)))  # margins, verdicts
+        for col, k in enumerate(ks):
+            pairs, inverse = np.unique(sizes[:, 0] * (count + 1) + sizes[:, k],
+                                       return_inverse=True)
+            judged[:, :, col] = np.array(
+                [_harper_verdict(graph, k, *divmod(pair, count + 1), memo)[1:]
+                 for pair in pairs.tolist()]).T[:, inverse]
+        yield rows, judged[0], judged[1] > 0
+
+
 def check_hamgraph_theorem(s: HammingSubset, c: float) -> HamgraphTheoremCheck:
     """Check ``|Int^r(S)| / |S| < 2 e^{-2c^2}`` at theorem 1's radius
     (:func:`interior_ratio_cases`), decided by :func:`interior_ratio_holds`.
@@ -457,21 +506,15 @@ class HarperCheck:
 
 
 def harper_check(s: HammingSubset, k: int) -> HarperCheck:
-    """Check ``|Exp^k(S)|/q^n >= rhs - HARPER_TOL`` against the tail-based
-    bound.
-
-    ``rhs`` minimizes the binomial tail over integer shell parameters (see
-    :func:`exactmath.harper_rhs`); ``HARPER_TOL`` absorbs the root-solver
-    error.
-    """
+    """Harper's expansion bound on one subset: the per-subset reference of
+    :func:`harper_bounds`, expanded by :func:`expand_k`."""
     count = s.graph.vertex_count
     if s.size < 1 or s.size >= count:
         raise NotInterestingSubset("subset must be proper and nonempty")
     if not (1 <= k < s.graph.dims):
         raise ValueError(f"need 1 <= k < dims, got k={k}")
-    expanded = expand_k(s, k)
-    lhs = Fraction(expanded.size, count)
-    tol = Fraction(HARPER_TOL)
-    rhs = exactmath.harper_rhs(s.graph.dims, k, Fraction(s.size, count), tol)
-    return HarperCheck(subset_size=s.size, k=k, expansion_fraction=lhs,
-                       lower_bound=rhs, holds=lhs >= rhs - tol)
+    reached = expand_k(s, k).size
+    rhs, _, holds = _harper_verdict(s.graph, k, s.size, reached, {})
+    return HarperCheck(subset_size=s.size, k=k,
+                       expansion_fraction=Fraction(reached, count),
+                       lower_bound=rhs, holds=holds)

@@ -125,6 +125,13 @@ def _check_norm(p: int) -> None:
         raise ValueError(f"p must be >= 0, got {p}")
 
 
+def check_image_space(classifier: ClassifierHandle, image: ImageTensor) -> None:
+    """Refuse an image from another space than the classifier's."""
+    if image.params != classifier.params:
+        raise ShapeMismatch(
+            f"image in {image.params}, classifier on {classifier.params}")
+
+
 def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
                       radius: float, seed: int | None = None,
                       rng: np.random.Generator | None = None, *,
@@ -143,9 +150,7 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     vector across calls, keyed by classifier.
     """
     _check_radius(radius)
-    params = image.params
-    if params != classifier.params:
-        raise ShapeMismatch(f"image in {params}, classifier on {classifier.params}")
+    check_image_space(classifier, image)
     if rng is None:
         rng = philox_rng(0 if seed is None else seed)
     if label_cache is None:
@@ -445,6 +450,7 @@ def minimal_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     the smallest possible nonzero value is reached.
     """
     _check_norm(p)
+    check_image_space(classifier, image)
     params = image.params
     check_enumerable(params)
     base_label = classifier.decide(image)

@@ -185,6 +185,7 @@ def image_is_robust(classifier: ClassifierHandle, image: ImageTensor,
     exact minimal attack distance for the sum classifier, or scans the
     space when it is enumerable.
     """
+    perturb.check_image_space(classifier, image)
     params = image.params
     base_label = classifier.decide(image)
     if budget.p == 0:
@@ -411,10 +412,10 @@ def theorem1_reports(classifiers: Iterable[ClassifierHandle],
 
     For every interesting class and every c: the robust fraction at the
     count-norm budget ``floor(c sqrt(h) n) + 2`` must be strictly below
-    ``2 e^{-2 c^2}``, decided by :func:`hamming.interior_ratio_holds` on
-    the cases of :func:`hamming.interior_ratio_cases`.  The robust members
-    at radius r are the images outside ``Exp^r`` of the class's complement,
-    each complement one slot row of :func:`hamming.expansion_sizes`."""
+    ``2 e^{-2 c^2}``.  The robust members at radius r are the class's
+    interior ``Int^r``: every interesting class of the batch is one slot
+    row of one block for :func:`hamming.interior_ratios`, on the cases of
+    :func:`hamming.interior_ratio_cases`."""
     classifiers = list(classifiers)
     if not classifiers:
         return
@@ -422,25 +423,18 @@ def theorem1_reports(classifiers: Iterable[ClassifierHandle],
     if any(classifier.params != params for classifier in classifiers):
         raise ValueError(f"a batch holds one space, {params}, got others")
     cases = hamming.interior_ratio_cases(params.dimension, c_values)
-    radii = [min(radius, params.dimension) for _, radius, _ in cases]
-    limit = max(1, min(hamming.CHUNK, hamming.PACKED_BITS // params.total_images))
     interesting, rows = [], []
     for classifier in classifiers:
         labels = classifier.labels()
         classes = np.array([label for label, count in enumerate(np.bincount(labels))
                             if is_interesting(int(count), params)], labels.dtype)
         interesting.append(classes.tolist())
-        rows.append(hamming.subset_rows(labels != classes[:, None]))
-    rows = np.concatenate(rows)
-    grown = hamming.expansion_sizes(
-        hamming.GraphParams(params.dimension, params.level_count),
-        (rows[at:at + limit] for at in range(0, len(rows), limit)), max(radii))
-    interiors = params.total_images - np.concatenate(
-        [np.zeros((0, max(radii) + 1), dtype=np.int64)]  # when no rows
-        + [sizes for _, sizes in grown])
-    robust, sizes = interiors[:, radii], interiors[:, 0]
-    margins, holds = hamming.interior_ratio_holds(robust, sizes, cases)
-    table = zip(sizes.tolist(), robust.tolist(), margins.tolist(), holds.tolist())
+        rows.append(hamming.subset_rows(labels == classes[:, None]))
+    table = itertools.chain.from_iterable(
+        zip(*(column.tolist() for column in chunk[1:]))
+        for chunk in hamming.interior_ratios(
+            hamming.GraphParams(params.dimension, params.level_count),
+            [np.concatenate(rows)], cases))
     for classifier, classes in zip(classifiers, interesting):
         mine = list(zip(classes, itertools.islice(table, len(classes))))
         yield Theorem1Report(classifier=classifier.spec, space=params, entries=tuple(

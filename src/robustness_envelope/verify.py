@@ -150,87 +150,47 @@ def _first_failure(margins: np.ndarray, failed) -> tuple[float, Optional[tuple]]
     return float(seen), (row, col)
 
 
-def _sweep_interior_ratio(check_id: str, graph: hamming.GraphParams, chunks,
-                          detail: str) -> CheckResult:
-    """Interior sizes read as ``count - |Exp^r|`` of the complement rows."""
-    count = graph.vertex_count
-    cases = hamming.interior_ratio_cases(graph.dims, _C_GRID)
-    radii = [radius for _, radius, _ in cases]
-    full = hamming.full_row(count)
+def _sweep(check_id: str, chunks, columns, detail: str) -> CheckResult:
+    """First failure over chunks ``(rows, ..., margins, holds)`` of slot
+    rows, its counterexample the failing row and its column's label."""
     worst = math.inf
-    for complements, sizes in hamming.expansion_sizes(
-            graph, (rows ^ full for rows in chunks), max(radii)):
-        interiors = count - sizes
-        margins, holds = hamming.interior_ratio_holds(interiors[:, radii],
-                                                      interiors[:, 0], cases)
+    for rows, *_, margins, holds in chunks:
         seen, bad = _first_failure(margins, np.argwhere(~holds))
         worst = min(worst, seen)
         if bad is not None:
-            bits = hamming.pack_slots(complements[bad[0]] ^ full)
-            return CheckResult(check_id, False, worst,
-                               f"counterexample bits={bits:#x} "
-                               f"at c={cases[bad[1]][0]}")
+            return CheckResult(check_id, False, worst, "counterexample bits="
+                               f"{hamming.pack_slots(rows[bad[0]]):#x}"
+                               f"{columns[bad[1]]}")
     return CheckResult(check_id, True, worst, detail)
 
 
+def _sweep_interior_ratio(dims: int, q: int, kind: str, blocks,
+                          detail: str) -> CheckResult:
+    cases = hamming.interior_ratio_cases(dims, _C_GRID)
+    chunks = hamming.interior_ratios(hamming.GraphParams(dims, q), blocks, cases)
+    return _sweep(f"hamming/interior-ratio-H({dims},{q})-{kind}", chunks,
+                  [f" at c={c}" for c, _, _ in cases], f"{detail}, c in {_C_GRID}")
+
+
 def _sweep_hamgraph_exhaustive(dims: int, q: int) -> CheckResult:
-    graph = hamming.GraphParams(dims, q)
-    half = graph.vertex_count // 2
-    return _sweep_interior_ratio(
-        f"hamming/interior-ratio-H({dims},{q})-exhaustive", graph,
-        hamming.proper_subset_rows(graph.vertex_count, half),
-        f"all subsets with 1 <= |S| <= {half}, c in {_C_GRID}")
+    half = q ** dims // 2
+    return _sweep_interior_ratio(dims, q, "exhaustive", hamming.proper_subset_rows(
+        q ** dims, half), f"all subsets with 1 <= |S| <= {half}")
 
 
 def _sweep_hamgraph_random(dims: int, q: int, count_subsets: int,
                            seed: int) -> CheckResult:
-    graph = hamming.GraphParams(dims, q)
-    return _sweep_interior_ratio(
-        f"hamming/interior-ratio-H({dims},{q})-random", graph,
-        hamming.seeded_subset_rows(graph.vertex_count, count_subsets, seed),
-        f"{count_subsets} seeded subsets, c in {_C_GRID}")
+    return _sweep_interior_ratio(dims, q, "random", hamming.seeded_subset_rows(
+        q ** dims, count_subsets, seed), f"{count_subsets} seeded subsets")
 
 
 def _sweep_harper(dims: int, q: int, k_values) -> CheckResult:
-    graph = hamming.GraphParams(dims, q)
-    count = graph.vertex_count
-    ks = sorted(k_values)
-    tol_fraction = Fraction(hamming.HARPER_TOL)
-    rhs_cache: dict = {}
-    judged: dict = {}  # (k, |S|, |Exp^k S|) -> (float margin, holds)
-
-    def judge(k: int, size: int, reached: int) -> tuple[float, bool]:
-        key = (k, size, reached)
-        if key not in judged:
-            rhs = rhs_cache.get((k, size))
-            if rhs is None:
-                rhs = exactmath.harper_rhs(dims, k, Fraction(size, count),
-                                           tol_fraction)
-                rhs_cache[(k, size)] = rhs
-            lhs = Fraction(reached, count)
-            judged[key] = (float(lhs - rhs), not lhs < rhs - tol_fraction)
-        return judged[key]
-
-    worst = math.inf
-    for rows, sizes in hamming.expansion_sizes(
-            graph, hamming.proper_subset_rows(count, count - 1), ks[-1]):
-        margins = np.empty((len(rows), len(ks)))
-        holds = np.empty((len(rows), len(ks)), dtype=bool)
-        for col, k in enumerate(ks):
-            pairs, inverse = np.unique(sizes[:, 0] * (count + 1) + sizes[:, k],
-                                       return_inverse=True)
-            verdicts = [judge(k, *divmod(int(pair), count + 1)) for pair in pairs]
-            margins[:, col] = np.array([m for m, _ in verdicts])[inverse]
-            holds[:, col] = np.array([ok for _, ok in verdicts])[inverse]
-        seen, bad = _first_failure(margins, np.argwhere(~holds))
-        worst = min(worst, seen)
-        if bad is not None:
-            return CheckResult(
-                f"hamming/expansion-lower-bound-H({dims},{q})", False, worst,
-                f"counterexample bits={hamming.pack_slots(rows[bad[0]]):#x}, "
-                f"k={ks[bad[1]]}")
-    return CheckResult(
-        f"hamming/expansion-lower-bound-H({dims},{q})", True, worst,
+    ks, count = sorted(k_values), q ** dims
+    return _sweep(
+        f"hamming/expansion-lower-bound-H({dims},{q})", hamming.harper_bounds(
+            hamming.GraphParams(dims, q),
+            hamming.proper_subset_rows(count, count - 1), ks),
+        [f", k={k}" for k in ks],
         f"all proper subsets, k in {ks}, tol {hamming.HARPER_TOL}; "
         "integer shell parameter convention")
 
@@ -245,26 +205,22 @@ def _operator_invariants(seed: int) -> CheckResult:
             bits = int.from_bytes(rng.bytes((count + 7) // 8), "little") & full
             s = hamming.HammingSubset(graph, bits)
             fast = hamming.expand(s)
-            if fast != hamming.expand_by_neighbors(s):
-                return CheckResult("hamming/operator-invariants", False, None,
-                                   f"expand mismatch on H({dims},{q}) {bits:#x}")
-            if not s.issubset(fast):
-                return CheckResult("hamming/operator-invariants", False, None,
-                                   f"expansion not extensive on {bits:#x}")
-            a, b = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-            once = hamming.expand_k(s, a + b)
-            twice = hamming.expand_k(hamming.expand_k(s, a), b)
-            if once != twice:
-                return CheckResult("hamming/operator-invariants", False, None,
-                                   f"composition failed a={a} b={b} on {bits:#x}")
-            k = int(rng.integers(0, 3))
-            dual = hamming.expand_k(s.complement(), k).complement()
-            if hamming.interior_k(s, k) != dual:
-                return CheckResult("hamming/operator-invariants", False, None,
-                                   f"duality failed k={k} on {bits:#x}")
-            if hamming.interior_k(s, k) != hamming.interior_by_balls(s, k):
-                return CheckResult("hamming/operator-invariants", False, None,
-                                   f"interior oracle mismatch k={k} on {bits:#x}")
+            a, b, k = (int(rng.integers(0, 3)) for _ in range(3))
+            interior = hamming.interior_k(s, k)
+            for failed, what in (
+                    (fast != hamming.expand_by_neighbors(s),
+                     f"expand mismatch on H({dims},{q})"),
+                    (not s.issubset(fast), "expansion not extensive on"),
+                    (hamming.expand_k(s, a + b) != hamming.expand_k(
+                        hamming.expand_k(s, a), b),
+                     f"composition failed a={a} b={b} on"),
+                    (interior != hamming.expand_k(s.complement(), k).complement(),
+                     f"duality failed k={k} on"),
+                    (interior != hamming.interior_by_balls(s, k),
+                     f"interior oracle mismatch k={k} on")):
+                if failed:
+                    return CheckResult("hamming/operator-invariants", False,
+                                       None, f"{what} {bits:#x}")
     return CheckResult("hamming/operator-invariants", True, None,
                        "expand cross-check, extensivity, composition, duality "
                        "on 600 random subsets")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -169,6 +170,12 @@ class TestInteriorRatio:
         for c in (0, -1, Fraction(-1, 2)):
             with pytest.raises(ValueError, match="c must be positive"):
                 hm.interior_ratio_cases(4, [1.0, c])
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_c_must_be_finite(self, c):
+        with pytest.raises(ValueError,
+                           match=f"c must be positive and finite, got {c}"):
+            hm.interior_ratio_cases(4, [1.0, c])
 
     def test_float_bound_error(self):
         # the bound of interior_ratio_holds's error statement, against a

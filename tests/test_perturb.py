@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +18,7 @@ from robustness_envelope.errors import (
     ContractViolation,
     EmptyClass,
     NoOtherClass,
+    ShapeMismatch,
 )
 from robustness_envelope.image_space import (
     ImageTensor,
@@ -276,6 +279,21 @@ class TestMinimalPerturbation:
         with pytest.raises(NoOtherClass):
             pt.minimal_perturbation(constant_classifier(P211),
                                     ImageTensor(P211, (0, 0, 0, 0)), 0)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("classifier,image", [
+        (sum_classifier(P212), ImageTensor(P211, (0, 0, 0, 0))),
+        (parse_classifier_spec("balanced:3", P211),
+         ImageTensor(P212, (0, 0, 0, 0))),
+    ], ids=["sum-wider", "balanced-narrower"])
+    def test_image_from_another_space_refused(self, classifier, image, p):
+        def unlabelled(image):
+            raise AssertionError("an image was labelled")
+
+        refusing = dataclasses.replace(classifier, decide=unlabelled)
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"image in {image.params}, classifier on {classifier.params}")):
+            pt.minimal_perturbation(refusing, image, p)
 
 
 class TestAttackSumClassifier:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from robustness_envelope import robustness as rb
 from robustness_envelope import verify
 from robustness_envelope.classifiers import (
     ClassifierHandle,
+    parse_classifier_spec,
     random_classifier,
     sum_classifier,
 )
@@ -16,6 +19,7 @@ from robustness_envelope.errors import (
     BallTooLarge,
     EmptyClass,
     PreconditionViolated,
+    ShapeMismatch,
 )
 from robustness_envelope.image_space import (
     ImageTensor,
@@ -91,6 +95,20 @@ class TestImageIsRobust:
                     fast = rb.image_is_robust(c212, img, budget)
                     slow = rb.image_is_robust(scanned, img, budget)
                     assert fast == slow
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("classifier,image", [
+        (sum_classifier(P212), ZEROS211),
+        (parse_classifier_spec("balanced:3", P212), ZEROS211),
+        (parse_classifier_spec("balanced:3", P211),
+         ImageTensor(P212, (0, 0, 0, 0))),
+    ], ids=["sum", "balanced-wider", "balanced-narrower"])
+    def test_image_from_another_space_refused(self, classifier, image, p):
+        # refused before any decide: the decide here would raise
+        refusing = dataclasses.replace(classifier, decide=unlabelled)
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"image in {image.params}, classifier on {classifier.params}")):
+            rb.image_is_robust(refusing, image, PerturbationBudget(p, 1))
 
     def test_ball_cap(self, monkeypatch):
         monkeypatch.setattr(rb, "BALL_CAP", 5)
@@ -316,6 +334,19 @@ class TestTheorem1:
         with pytest.raises(ValueError, match="c must be positive"):
             rb.theorem1_holds(SUM211, [0.5, c])
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_c_refused_before_labelling(self, c):
+        # neither labels source may be read: both raise
+        handle = dataclasses.replace(SUM211, decide=unlabelled,
+                                     batch=unlabelled)
+        with pytest.raises(ValueError,
+                           match=f"c must be positive and finite, got {c}"):
+            rb.theorem1_holds(handle, [0.5, c])
+        with pytest.raises(ValueError,
+                           match=f"c must be positive and finite, got {c}"):
+            hm.check_hamgraph_theorem(hm.HammingSubset.from_members(
+                hm.GraphParams(4, 2), [0]), c)
+
     def test_balanced_batch(self):
         for seed in range(25):
             c = random_classifier(P211, 2, "balanced", seed)
@@ -325,6 +356,10 @@ class TestTheorem1:
         # no c, no entry: all_hold would pass vacuously
         with pytest.raises(ValueError, match="c_values must not be empty"):
             rb.theorem1_holds(SUM211, [])
+
+
+def unlabelled(*args):
+    raise AssertionError("an image was labelled")
 
 
 def constant_classifier(params):

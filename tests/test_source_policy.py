@@ -92,6 +92,15 @@ def test_one_certified_site():
                                                       "hamming.py"}
 
 
+def test_hamming_alone_decides_the_graph_bounds():
+    # Theorem 1's interior ratio and Harper's bound are decided in hamming
+    # alone: no other module reads its packing limits, its packed
+    # expansion, theorem 1's verdict or Harper's bound (exports aside).
+    for name in ("CHUNK", "PACKED_BITS", "expansion_sizes",
+                 "interior_ratio_holds", "harper_rhs"):
+        assert files_referencing(name) - {"__init__.py"} == {"hamming.py"}, name
+
+
 def test_every_error_class_is_raised():
     # A deletion that leaves its exception class behind fails here.
     tree = ast.parse((SRC / "robustness_envelope" / "errors.py").read_text())

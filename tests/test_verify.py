@@ -160,6 +160,68 @@ class TestSweepsMatchOracle:
         assert drawn == list(oracle_random_subsets(count, 9000, seed))
 
 
+@pytest.mark.parametrize("dims,q", [(4, 2), (2, 4), (4, 3), (6, 2)])
+def test_interior_sweeps_expand_at_most_the_diameter(monkeypatch, dims, q):
+    # Exp^k of any set is fixed from k = dims on, so no chunk expands
+    # further, whatever radius theorem 1 asks for
+    steps = []
+    real = hm.expansion_sizes
+
+    def expansion_sizes(graph, blocks, k):
+        steps.append(k)
+        return real(graph, blocks, k)
+
+    monkeypatch.setattr(hm, "expansion_sizes", expansion_sizes)
+    if q ** dims <= 16:
+        got = verify._sweep_hamgraph_exhaustive(dims, q)
+    else:
+        got = verify._sweep_hamgraph_random(dims, q, 100, 7)
+    assert got.passed and steps == [dims]
+
+
+class TestHarperToleranceEdge:
+    """A set exactly ``HARPER_TOL`` below Harper's bound holds, and one
+    ``2^-200`` further below fails, per subset and in the sweep."""
+
+    TOL = Fraction(hm.HARPER_TOL)
+    BELOW = Fraction(1, 2 ** 200)
+
+    @pytest.mark.parametrize("extra,holds", [(0, True), (BELOW, False)])
+    def test_harper_check(self, monkeypatch, extra, holds):
+        s = hm.HammingSubset.from_members(hm.GraphParams(4, 2), [0])
+        lhs = Fraction(5, 16)  # a vertex and its four neighbours
+        monkeypatch.setattr(exactmath, "harper_rhs",
+                            lambda *args: lhs + self.TOL + extra)
+        check = hm.harper_check(s, 1)
+        assert check.expansion_fraction == lhs
+        assert check.lower_bound == lhs + self.TOL + extra
+        assert check.holds is holds
+
+    @pytest.mark.parametrize("extra,holds", [(0, True), (BELOW, False)])
+    def test_sweep(self, monkeypatch, extra, holds):
+        # the bound at each size is the smallest |Exp^1 S| of that size
+        # plus the tolerance: the smallest sets sit on the edge
+        graph = hm.GraphParams(2, 3)
+        count = graph.vertex_count
+        least = {}
+        for bits in range(1, (1 << count) - 1):
+            reached = hm.expand(hm.HammingSubset(graph, bits)).size
+            size = bits.bit_count()
+            least[size] = min(least.get(size, count), reached)
+
+        def rhs(dims, k, fraction, tol):
+            return Fraction(least[fraction * count], count) + self.TOL + extra
+
+        monkeypatch.setattr(exactmath, "harper_rhs", rhs)
+        got = verify._sweep_harper(2, 3, {1})
+        same_result(got, oracle_harper(2, 3, {1}))
+        assert got.passed is holds
+        if holds:
+            assert got.margin == -hm.HARPER_TOL
+        else:  # every singleton reaches 5 of 9 vertices, the least
+            assert got.detail == "counterexample bits=0x1, k=1"
+
+
 def failing_escalation(at):
     """A certified comparison that fails its ``at``-th call only."""
     calls = [0]
@@ -485,10 +547,16 @@ class TestSlotKernels:
             assert np.array_equal(want[:cut], sizes_of([rows[:cut]]))
             assert np.array_equal(want[cut:], sizes_of([rows[cut:]]))
 
-    def test_expansion_sizes_refuse_oversized_chunk(self):
-        rows = np.ones((hm.CHUNK + 1, 1), dtype=np.uint64)
-        with pytest.raises(ValueError, match="exceeds"):
-            next(hm.expansion_sizes(hm.GraphParams(4, 2), [rows], 1))
+    def test_expansion_sizes_split_oversized_block(self):
+        # a block of CHUNK + 1 rows expands as a chunk of CHUNK, then 1
+        graph = hm.GraphParams(4, 2)
+        rows = np.arange(1, hm.CHUNK + 2, dtype=np.uint64)[:, None]
+        chunks = list(hm.expansion_sizes(graph, [rows], 2))
+        assert [len(chunk) for chunk, _ in chunks] == [hm.CHUNK, 1]
+        assert np.array_equal(np.concatenate([c for c, _ in chunks]), rows)
+        for at, (_, sizes) in zip((0, hm.CHUNK), chunks):
+            [(_, want)] = hm.expansion_sizes(graph, [rows[at:at + hm.CHUNK]], 2)
+            assert np.array_equal(sizes, want)
 
     @pytest.mark.parametrize("nbytes", [8, 11])
     def test_bulk_draws_equal_per_call_draws(self, nbytes):

@@ -51,7 +51,6 @@ from .image_space import (
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
-    cell_of_point,
     decode_image,
     encode_image,
     enumerate_space,

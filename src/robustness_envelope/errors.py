@@ -69,10 +69,6 @@ class MalformedInput(EnvelopeError):
         self.position = position
 
 
-class CoordinateOutOfRange(EnvelopeError):
-    """A point coordinate lies outside the unit interval."""
-
-
 # --- graphs and classifiers -------------------------------------------------
 
 class NotInterestingSubset(EnvelopeError):

@@ -14,12 +14,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import (
-    CoordinateOutOfRange,
     EmptyClass,
     LevelOutOfRange,
     MalformedInput,
@@ -324,23 +323,3 @@ def decode_image(data: bytes | str) -> ImageTensor:
 def flatten(image: ImageTensor) -> np.ndarray:
     """The image as a point of the unit cube, one coordinate per channel."""
     return np.asarray(image.levels, dtype=np.float64) / image.params.max_level
-
-
-def cell_of_point(params: SpaceParams, point: Sequence[float]) -> ImageTensor:
-    """The image whose cell of the unit-cube decomposition contains ``point``.
-
-    Cells are the half-open boxes ``[x 2^-b, (x+1) 2^-b)`` per coordinate,
-    with the final cell ``[1 - 2^-b, 1]`` closed, so membership is
-    unambiguous on boundaries.
-    """
-    coords = list(point)
-    if len(coords) != params.dimension:
-        raise ShapeMismatch(
-            f"expected {params.dimension} coordinates, got {len(coords)}")
-    q = params.level_count
-    levels = []
-    for i, v in enumerate(coords):
-        if not (0.0 <= v <= 1.0) or math.isnan(v):
-            raise CoordinateOutOfRange(f"coordinate {v} at index {i} outside [0, 1]")
-        levels.append(min(int(math.floor(v * q)), q - 1))
-    return ImageTensor(params, tuple(levels))

@@ -1,7 +1,9 @@
 """Perturbation construction: the randomized cell-walk search, which
 realizes the "nearest different-class point within radius" map on the
-cells of the unit cube (:func:`find_perturbation`), its failure rate, and
-exact minimal-perturbation oracles."""
+cells of the unit cube (:func:`find_perturbation`), its failure rate
+(decided for a chunk of draws at once on small spaces, by the dense
+nearest-cell kernel the full-enumeration oracle also uses), and exact
+minimal-perturbation oracles."""
 
 from __future__ import annotations
 
@@ -40,9 +42,11 @@ from .image_space import (
 )
 from .mcstats import wilson_ci
 
-# cell distances the full-enumeration oracle holds at once: 32 points of a
-# 256-cell space
-_ORACLE_CHUNK_CELLS = 1 << 13
+# cell distances the dense nearest-cell kernel holds at once: 32 points of a
+# 256-cell space.  failure_rates uses the kernel where one pass holds at
+# least 8 points (spaces of up to 1024 cells): with fewer, the per-pass cost
+# outweighs one pruned walk per point (measured crossover 1024-2048 cells).
+_DENSE_CELLS = 1 << 13
 # raw Philox words failure_rate's decoder holds at once
 _DRAW_WORDS = 1 << 13
 # images one walk keeps by rank for its later samples
@@ -166,10 +170,12 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
 
 class _CellWalk:
     """The cell walk of one classifier: its label vector as a memoryview,
-    every level's cell bounds and the images built so far, made once per
-    search or per :func:`failure_rates` call."""
+    every level's cell bounds, the images built so far and the witness
+    labels ``decide`` gave, made once per search or per
+    :func:`failure_rates` call."""
 
-    __slots__ = ("classifier", "params", "labels", "bounds", "images")
+    __slots__ = ("classifier", "params", "labels", "bounds", "images",
+                 "decided")
 
     def __init__(self, classifier: ClassifierHandle, labels: np.ndarray):
         self.classifier = classifier
@@ -178,6 +184,7 @@ class _CellWalk:
         self.bounds = [cell_bounds(params, level)
                        for level in range(params.level_count)]
         self.images: dict[int, ImageTensor] = {}
+        self.decided: dict[int, int] = {}
 
     def image(self, rank: int) -> ImageTensor:
         """``image_from_rank``, kept for later samples of the same walk
@@ -282,6 +289,83 @@ class _CellWalk:
             raise ContractViolation(f"moved {moved} beyond radius {radius}")
         return result, moved
 
+    def nearest_hits(self, ranks: np.ndarray, coords: np.ndarray,
+                     base_label: int, radii: Sequence[float]) -> np.ndarray:
+        """Per draw (a row of member ``ranks`` and cell points ``coords``)
+        and radius, whether :meth:`successes` holds, from one
+        :func:`_nearest_cells` pass instead of one walk per draw: a draw
+        hits at ``r`` iff some cell is not labelled ``base_label`` and the
+        walk's nearest such cell lies within ``r * r``.  :meth:`witness`'s
+        contracts are checked at each draw's smallest hitting ``r``: one
+        ``decide`` per distinct witness cell, then the projection and the
+        distance moved, in numpy."""
+        masked = np.asarray(self.labels) == base_label
+        d2, cells = _nearest_cells(self.bounds, coords, masked)
+        radii = np.array(radii, dtype=float)
+        hits = ~masked[cells][:, None] & (d2[:, None] <= radii * radii)
+        won = hits.any(axis=1)
+        ranks, coords, cells = ranks[won], coords[won], cells[won]
+        radii = np.where(hits[won], radii, math.inf).min(axis=1)
+        for rank in sorted(set(cells.tolist())):
+            if rank not in self.decided:
+                self.decided[rank] = self.classifier.decide(self.image(rank))
+            if self.decided[rank] == base_label:
+                raise ContractViolation(
+                    f"cell {self.image(rank).levels} changed its label")
+        params = self.params
+        q = params.level_count
+        weights = q ** np.arange(params.dimension - 1, -1, -1)
+        levels = cells[:, None] // weights % q
+        lo, hi, closed_top = np.array(self.bounds).T[:, levels]
+        # keep the point inside the half-open cell
+        v = np.minimum(np.maximum(coords, lo),
+                       np.where(closed_top, hi, np.nextafter(hi, lo)))
+        left = ~((lo <= v) & ((v < hi) | (closed_top == 1) & (v == hi)))
+        if left.any():
+            levels = tuple(levels[left.any(axis=1).argmax()].tolist())
+            raise ContractViolation(f"projected point left cell {levels}")
+        steps = ranks[:, None] // weights % q - levels
+        moved = ((steps * steps).sum(axis=1) / params.max_level ** 2) ** 0.5
+        beyond = moved > radii + 2 * cell_diameter(params) + 1e-9
+        if beyond.any():
+            at = beyond.argmax()
+            raise ContractViolation(
+                f"moved {moved[at]} beyond radius {radii[at]}")
+        return hits
+
+
+def _nearest_cells(bounds: Sequence[tuple[float, float, bool]],
+                   coords: np.ndarray,
+                   masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``coords``, the squared distance to the first nearest
+    cell whose rank is not ``masked`` and that rank (inf and a masked rank
+    if all are masked), for ``_DENSE_CELLS // cells`` rows at a time.
+
+    Per coordinate, a table holds each level's squared gap from the point,
+    by the walk's float expressions; the tables are added in coordinate
+    order, first coordinate most significant, so each cell's sum is the
+    walk's ``partial + d2`` and its position is its rank.  The first
+    smallest unmasked sum is then the lexicographically first nearest
+    cell.
+    """
+    lo, hi, _ = np.array(bounds).T
+    d2 = np.empty(len(coords))
+    cells = np.empty(len(coords), dtype=np.int64)
+    chunk = max(1, _DENSE_CELLS // len(masked))
+    for start in range(0, len(coords), chunk):
+        x = coords[start:start + chunk, :, None]
+        below, above = lo - x, x - hi
+        gaps = np.where(x < lo, below * below,
+                        np.where(x > hi, above * above, 0.0))
+        sums = gaps[:, 0]
+        for column in gaps.transpose(1, 0, 2)[1:]:
+            sums = (sums[:, :, None] + column[:, None, :]).reshape(len(x), -1)
+        sums[:, masked] = math.inf
+        at = sums.argmin(axis=1)
+        cells[start:start + len(at)] = at
+        d2[start:start + len(at)] = sums[np.arange(len(at)), at]
+    return d2, cells
+
 
 def nearest_cell_exhaustive(
         classifier: ClassifierHandle, points: Sequence[ContinuousPoint],
@@ -292,34 +376,19 @@ def nearest_cell_exhaustive(
     lexicographically.  Independent of the pruned walk.
 
     Every cell is labelled by one ``decide`` call per call of the oracle
-    (:func:`labels_for`).  Per coordinate, a table holds each level's squared gap from the point,
-    by the walk's float expressions; the tables are added in coordinate
-    order, first coordinate most significant, so each cell's sum is the
-    walk's ``partial + d2`` and its position is its rank.  The first
-    smallest unmasked sum is then the lexicographically first nearest cell.
+    (:func:`labels_for`), and every cell's distance from every point is
+    computed by :func:`_nearest_cells`.
     """
     params = classifier.params
     masked = labels_for(classifier) == base_label
-    q, total = params.level_count, params.total_images
-    lo, hi, _ = np.array([cell_bounds(params, level) for level in range(q)]).T
-    results = []
-    chunk = max(1, _ORACLE_CHUNK_CELLS // total)
-    for start in range(0, len(points), chunk):
-        coords = np.array([point.coords for point in points[start:start + chunk]])
-        sums = None
-        for x in coords.T:
-            x = x[:, None]
-            below, above = lo - x, x - hi
-            gaps = np.where(x < lo, below * below,
-                            np.where(x > hi, above * above, 0.0))
-            sums = gaps if sums is None else (
-                sums[:, :, None] + gaps[:, None, :]).reshape(len(x), -1)
-        sums[:, masked] = math.inf
-        for row, rank in zip(sums, sums.argmin(axis=1)):
-            d2 = float(row[rank])
-            results.append((d2, None) if d2 == math.inf else
-                           (d2, image_from_rank(params, int(rank)).levels))
-    return results
+    bounds = [cell_bounds(params, level)
+              for level in range(params.level_count)]
+    coords = np.array([point.coords for point in points]).reshape(
+        len(points), params.dimension)
+    d2, cells = _nearest_cells(bounds, coords, masked)
+    return [(d2, None) if d2 == math.inf else
+            (d2, image_from_rank(params, rank).levels)
+            for d2, rank in zip(d2.tolist(), cells.tolist())]
 
 
 @dataclass(frozen=True)
@@ -342,8 +411,10 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     ``philox_rng(seed, index)`` fed to :func:`sample_uniform` until a
     member is found and then to :func:`find_perturbation`, so the estimate
     is independent of evaluation order.  The draws come from raw Philox
-    words computed for many indices at once (:func:`_class_draws`), and
-    each sample runs the walk of :func:`find_perturbation` from its point.
+    words computed for many indices at once (:func:`_class_draws`).  Each
+    sample gets the outcome of :func:`find_perturbation`'s walk from its
+    point: on up to ``_DENSE_CELLS / 8`` cells from one dense pass per chunk
+    of samples (:meth:`_CellWalk.nearest_hits`), beyond from the walk.
     """
     return failure_rates(classifier, label, (radius,), samples, seed)[0]
 
@@ -351,9 +422,10 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
 def failure_rates(classifier: ClassifierHandle, label: int,
                   radii: Sequence[float], samples: int,
                   seed: int) -> list[FailureRateReport]:
-    """:func:`failure_rate` at each radius, from one pass of draws and one
-    walk per sample; a bad label, radius or sample count, or no radius, is a
-    ``ValueError`` raised before any labelling."""
+    """:func:`failure_rate` at each radius, from one pass of draws, decided
+    for every radius at once: by the dense kernel per chunk, or by one walk
+    per sample at the largest radius; a bad label, radius or sample count,
+    or no radius, is a ``ValueError`` raised before any labelling."""
     if not 0 <= label < classifier.label_count:
         raise ValueError(f"label must be in [0, {classifier.label_count}), "
                          f"got {label}")
@@ -364,19 +436,26 @@ def failure_rates(classifier: ClassifierHandle, label: int,
     for radius in radii:
         _check_radius(radius)
     walk = _CellWalk(classifier, classifier.labels())
-    failures = [0] * len(radii)
-    for image, coords in _class_draws(walk, label, samples, seed):
-        for at, hit in enumerate(walk.successes(image, coords, label, radii)):
-            failures[at] += not hit
+    dense = 8 * classifier.params.total_images <= _DENSE_CELLS
+    failures = np.zeros(len(radii), dtype=np.int64)
+    for ranks, coords in _class_draws(walk, label, samples, seed):
+        if dense:
+            hits = walk.nearest_hits(ranks, coords, label, radii)
+        else:
+            hits = np.array([
+                walk.successes(walk.image(rank), point, label, radii)
+                for rank, point in zip(ranks.tolist(), coords.tolist())])
+        failures += len(hits) - np.count_nonzero(hits, axis=0)
     return [FailureRateReport(radius=float(radius), samples=samples,
                               failures=failed, rate=failed / samples,
                               ci95=wilson_ci(failed, samples))
-            for radius, failed in zip(radii, failures)]
+            for radius, failed in zip(radii, failures.tolist())]
 
 
 def _class_draws(walk: _CellWalk, label: int, samples: int,
-                 seed: int) -> Iterator[tuple[ImageTensor, list[float]]]:
-    """``(member, cell point)`` of samples ``0 .. samples - 1``, decoded from
+                 seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(member ranks, cell points)`` of samples ``0 .. samples - 1``, one
+    row per sample and one array pair per chunk of samples, decoded from
     the raw words of the streams ``philox_rng(seed, index)``.
 
     A rejection attempt reads ``dimension`` 32-bit halves, low half of each
@@ -387,8 +466,9 @@ def _class_draws(walk: _CellWalk, label: int, samples: int,
     ``lo + (hi - lo) * ((word >> 11) * 2^-53)`` of one whole word, that is
     ``Generator.uniform(lo, hi)`` on the coordinate's cell.  A stream with
     no member in its decoded window is drawn again, the same draws, by
-    :func:`sample_member` and :func:`sample_point_in_cell`, which raises
-    :class:`EmptyClass` after every earlier sample is yielded.
+    :func:`sample_member` and :func:`sample_point_in_cell`; where that
+    raises :class:`EmptyClass`, the rows of the earlier samples of its
+    chunk are yielded first.
     """
     labels = np.asarray(walk.labels)
     members = int(np.count_nonzero(labels == label))
@@ -420,16 +500,19 @@ def _class_draws(walk: _CellWalk, label: int, samples: int,
         point_at = ((accepted + 1) * dim + 1) // 2
         point = words[rows[:, None], point_at[:, None] + np.arange(dim)]
         coords = lo[chosen] + width[chosen] * ((point >> 11) * 2.0 ** -53)
-        for index, found, rank, point in zip(
-                range(begin, stop), hit[rows, accepted].tolist(),
-                tried_ranks[rows, accepted].tolist(), coords.tolist()):
-            if found:
-                yield walk.image(rank), point
-            else:
-                rng = philox_rng(seed, index)
+        ranks = tried_ranks[rows, accepted]
+        for row in np.flatnonzero(~hit[rows, accepted]).tolist():
+            rng = philox_rng(seed, begin + row)
+            try:
                 member = sample_member(params, rng, walk.classifier.decide,
-                                       label, seed, index)
-                yield member, list(sample_point_in_cell(member, rng).coords)
+                                       label, seed, begin + row)
+            except EmptyClass:
+                if row:
+                    yield ranks[:row], coords[:row]
+                raise
+            ranks[row] = member.space_rank()
+            coords[row] = sample_point_in_cell(member, rng).coords
+        yield ranks, coords
 
 
 def _search_result(params: SpaceParams, p: int, pow_sum: int,

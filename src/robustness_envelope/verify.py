@@ -483,14 +483,16 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     for shape, spec in WALK_ORACLE_CASES:
         case = parse_classifier_spec(spec, SpaceParams(*shape))
         case_walk = perturb._CellWalk(case, case.labels())
-        draws = list(perturb._class_draws(case_walk, 0, WALK_ORACLE_SAMPLES,
-                                          cfg.seed))
+        ranks, points = map(np.concatenate, zip(*perturb._class_draws(
+            case_walk, 0, WALK_ORACLE_SAMPLES, cfg.seed)))
+        points = points.tolist()
         nearest = perturb.nearest_cell_exhaustive(
-            case, [perturb.ContinuousPoint(point) for _, point in draws], 0)
+            case, [perturb.ContinuousPoint(point) for point in points], 0)
         failed = [0] * len(WALK_ORACLE_RADII)
-        for index, ((member, point), (oracle_d2, _)) in enumerate(
-                zip(draws, nearest)):
-            hits = case_walk.successes(member, point, 0, WALK_ORACLE_RADII)
+        for index, (rank, point, (oracle_d2, _)) in enumerate(
+                zip(ranks.tolist(), points, nearest)):
+            hits = case_walk.successes(case_walk.image(rank), point, 0,
+                                       WALK_ORACLE_RADII)
             for at, (radius, succeeded) in enumerate(
                     zip(WALK_ORACLE_RADII, hits)):
                 failed[at] += not succeeded

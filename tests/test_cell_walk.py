@@ -27,7 +27,6 @@ from robustness_envelope.errors import (
 from robustness_envelope.image_space import (
     ImageTensor,
     SpaceParams,
-    cell_of_point,
     enumerate_space,
     flatten,
     image_from_rank,
@@ -35,6 +34,7 @@ from robustness_envelope.image_space import (
     philox_rng,
     sample_uniform,
 )
+from test_image_space import cell_of_point
 
 
 def _oracle_candidates(params, x):
@@ -305,8 +305,10 @@ def test_moved_bound_checked_at_the_smallest_successful_radius(monkeypatch):
     params = SpaceParams(2, 1, 2)
     classifier = sum_classifier(params)
     walk = pt._CellWalk(classifier, classifier.labels())
+    ranks, points = next(pt._class_draws(walk, 0, 100, 7))
     image, coords = next(
-        (image, coords) for image, coords in pt._class_draws(walk, 0, 100, 7)
+        (image, coords) for image, coords in zip(
+            map(walk.image, ranks.tolist()), points.tolist())
         if walk.successes(image, coords, 0, (0.25,)) == [True])
     # two cell diameters are 1.0 here: 1.5 is within radius 1.0, not 0.25
     assert 2 * pt.cell_diameter(params) == 1.0

@@ -1,11 +1,14 @@
-"""``failure_rate``'s batch draws against the per-stream generator loop.
+"""``failure_rate``'s batch draws against the per-stream generator loop,
+and its dense nearest-cell kernel against the pruned walk.
 
 ``failure_rate_oracle`` is the earlier ``failure_rate`` kept as the oracle:
 one ``philox_rng(seed, index)`` generator per sample, rejection draws by
 ``Generator.integers(0, q, size=dim)`` and one ``find_perturbation`` per
 member.  The batch path decodes raw Philox words instead
 (``perturb._class_draws``) and must give every sample the same member,
-cell point and outcome.
+cell point and outcome.  On small spaces the batch path decides a chunk of
+draws at once (``_CellWalk.nearest_hits``); per draw, its hits and witness
+must be those of the walk (``_CellWalk.successes`` and ``walk``).
 """
 
 import itertools
@@ -21,7 +24,7 @@ from robustness_envelope.classifiers import (
     parse_classifier_spec,
     sum_classifier,
 )
-from robustness_envelope.errors import EmptyClass
+from robustness_envelope.errors import ContractViolation, EmptyClass
 from robustness_envelope.image_space import (
     ImageTensor,
     PerturbationBudget,
@@ -53,10 +56,17 @@ def failure_rate_oracle(classifier, label, radius, samples, seed,
     return out
 
 
+def class_draws(walk, label, samples, seed):
+    """``_class_draws`` as one ``(member, cell point)`` per sample."""
+    return [(walk.image(rank), point)
+            for ranks, coords in pt._class_draws(walk, label, samples, seed)
+            for rank, point in zip(ranks.tolist(), coords.tolist())]
+
+
 def batch_outcomes(classifier, label, radius, samples, seed):
     walk = pt._CellWalk(classifier, classifier.labels())
     return [(member, walk.from_point(member, point, label, radius))
-            for member, point in pt._class_draws(walk, label, samples, seed)]
+            for member, point in class_draws(walk, label, samples, seed)]
 
 
 def reference_draws(classifier, label, samples, seed):
@@ -102,7 +112,7 @@ class TestDecoding:
         walk = pt._CellWalk(classifier, classifier.labels())
         for label in (0, 1):
             got = [(member.levels, point) for member, point
-                   in pt._class_draws(walk, label, 200, 5 + b)]
+                   in class_draws(walk, label, 200, 5 + b)]
             assert got == reference_draws(classifier, label, 200, 5 + b)
 
     @pytest.mark.parametrize("shape,spec", [
@@ -115,7 +125,7 @@ class TestDecoding:
         walk = pt._CellWalk(classifier, classifier.labels())
         for label in (0, 1):
             got = [(member.levels, point) for member, point
-                   in pt._class_draws(walk, label, 300, 21)]
+                   in class_draws(walk, label, 300, 21)]
             assert got == reference_draws(classifier, label, 300, 21)
 
     def test_chunks_and_windows(self, monkeypatch):
@@ -126,7 +136,7 @@ class TestDecoding:
         monkeypatch.setattr(pt, "_DRAW_WORDS", 16)
         walk = pt._CellWalk(classifier, classifier.labels())
         got = [(member.levels, point) for member, point
-               in pt._class_draws(walk, 0, 150, 8)]
+               in class_draws(walk, 0, 150, 8)]
         assert got == want
 
 
@@ -178,6 +188,8 @@ class TestRejectionLimit:
             pt.failure_rate(classifier, 0, 1.0, 50, 1)
 
     def test_earlier_samples_come_first(self, monkeypatch):
+        # the chunk holding stream 11 yields its rows 0 .. 10, then raises
+        # as sample_member does
         params = SpaceParams(2, 1, 2)
         classifier = rare_classifier(params, range(0, 256, 32))
         want = reference_draws(classifier, 0, 11, 1)
@@ -185,9 +197,11 @@ class TestRejectionLimit:
         monkeypatch.setattr(image_space, "MAX_REJECTIONS", 40)
         walk = pt._CellWalk(classifier, classifier.labels())
         draws = pt._class_draws(walk, 0, 50, 1)
-        assert [(member.levels, point)
-                for member, point in itertools.islice(draws, 11)] == want
-        with pytest.raises(EmptyClass):
+        ranks, coords = next(draws)
+        assert [(walk.image(rank).levels, point) for rank, point
+                in zip(ranks.tolist(), coords.tolist())] == want
+        with pytest.raises(EmptyClass, match=r"^no member of label 0 after "
+                           r"40 draws of stream \(1, 11\)$"):
             next(draws)
 
 
@@ -224,3 +238,151 @@ class TestFailureRates:
         with pytest.raises(ValueError, match=match):
             pt.failure_rates(unlabelled(SpaceParams(2, 1, 1)), 0, radii,
                              samples, 1)
+
+
+@pytest.fixture(params=[0, 1 << 20], ids=["walk", "dense"])
+def cutoff(request, monkeypatch):
+    """``_DENSE_CELLS`` at 0, where every space is walked with one row per
+    kernel pass, and at 2^20, where every space here is decided densely."""
+    monkeypatch.setattr(pt, "_DENSE_CELLS", request.param)
+    return request.param
+
+
+RADII = (0.25, 0.5, 1.0, math.inf)
+
+
+def dense_cases():
+    """``(classifier, label, member ranks, cell points, radii)``: the
+    failure-rate draws of a few spaces plus the lower corner of each
+    draw's cell, where equidistant cells tie, and the exact-radius point
+    of ``test_successes_at_the_exact_radius``."""
+    cases = [(parse_classifier_spec(spec, SpaceParams(*shape)), 0, 200, 4)
+             for shape, spec in (*verify.WALK_ORACLE_CASES,
+                                 ((2, 1, 3), "balanced:2"))]
+    # 2 members of 256: some streams are replayed
+    cases.append((rare_classifier(SpaceParams(2, 1, 2), (37, 200)),
+                  0, 160, 12))
+    for classifier, label, samples, seed in cases:
+        walk = pt._CellWalk(classifier, classifier.labels())
+        ranks, coords = map(np.concatenate, zip(*pt._class_draws(
+            walk, label, samples, seed)))
+        corners = np.array([walk.image(rank).levels for rank in ranks.tolist()]
+                           ) / classifier.params.level_count
+        yield (classifier, label, np.concatenate([ranks, ranks]),
+               np.concatenate([coords, corners]), RADII)
+    params = SpaceParams(1, 1, 2)
+    yield (sum_classifier(params), 1, np.array([2]), np.array([[0.625]]),
+           (1.0, 0.125, math.nextafter(0.125, 0)))
+
+
+def dense_mismatches(classifier, label, ranks, coords, radii):
+    """Rows where the kernel's hits, nearest distance or nearest cell
+    differ from the pruned walk's."""
+    walk = pt._CellWalk(classifier, classifier.labels())
+    masked = np.asarray(walk.labels) == label
+    hits = walk.nearest_hits(ranks, coords, label, radii).tolist()
+    d2, cells = pt._nearest_cells(walk.bounds, coords, masked)
+    bad = []
+    for row, (rank, point) in enumerate(zip(ranks.tolist(), coords.tolist())):
+        best_d2, best, _ = walk.walk(point, label, math.inf)
+        cell = -1 if masked[cells[row]] else int(cells[row])
+        if (hits[row] != walk.successes(walk.image(rank), point, label, radii)
+                or (float(d2[row]), cell) != (best_d2, best)):
+            bad.append(row)
+    return bad
+
+
+class TestDenseKernel:
+    def test_hits_and_cells_equal_the_walk(self, cutoff):
+        for classifier, label, ranks, coords, radii in dense_cases():
+            assert dense_mismatches(classifier, label, ranks, coords,
+                                    radii) == [], classifier.spec
+
+    def test_exact_radius(self):
+        classifier = sum_classifier(SpaceParams(1, 1, 2))
+        walk = pt._CellWalk(classifier, classifier.labels())
+        radii = (1.0, 0.125, math.nextafter(0.125, 0))
+        assert walk.nearest_hits(np.array([2]), np.array([[0.625]]), 1,
+                                 radii).tolist() == [[True, True, False]]
+
+    @pytest.mark.parametrize("fault", ["no-mask", "strict", "larger-rank"])
+    def test_faults_are_caught(self, monkeypatch, fault):
+        kernel = pt._nearest_cells
+
+        def faulty(bounds, coords, masked):
+            if fault == "no-mask":
+                return kernel(bounds, coords, np.zeros_like(masked))
+            if fault == "strict":  # d2 < r*r iff nextafter(d2, inf) <= r*r
+                d2, cells = kernel(bounds, coords, masked)
+                return np.nextafter(d2, math.inf), cells
+            # every level reversed reverses the ranks, so the first
+            # smallest sum is the last one of the unreversed order
+            d2, cells = kernel(bounds[::-1], coords, masked[::-1])
+            return d2, len(masked) - 1 - cells
+
+        monkeypatch.setattr(pt, "_nearest_cells", faulty)
+        assert any(dense_mismatches(*case) for case in dense_cases())
+        if fault == "strict":
+            with pytest.raises(AssertionError):
+                self.test_exact_radius()
+
+    def test_failure_rates_equal_the_walk(self, cutoff):
+        for classifier, samples, seed in (
+                (parse_classifier_spec("balanced:2", SpaceParams(2, 1, 3)),
+                 200, 4),
+                (rare_classifier(SpaceParams(2, 1, 2), (37, 200)), 160, 12)):
+            walk = pt._CellWalk(classifier, classifier.labels())
+            hits = [walk.successes(member, point, 0, RADII)
+                    for member, point in class_draws(walk, 0, samples, seed)]
+            reports = pt.failure_rates(classifier, 0, RADII, samples, seed)
+            assert [report.failures for report in reports] == [
+                sum(not row[at] for row in hits) for at in range(len(RADII))]
+
+    def test_one_label_fails_every_draw_at_inf(self, cutoff):
+        params = SpaceParams(2, 1, 2)
+        constant = ClassifierHandle(
+            params=params, label_count=1, decide=lambda image: 0,
+            kind="constant", spec="constant",
+            batch=lambda: np.zeros(params.total_images, dtype=np.uint8))
+        [report] = pt.failure_rates(constant, 0, (math.inf,), 50, 3)
+        assert report.failures == 50
+
+
+class TestDenseContracts:
+    def test_decide_disagreeing_with_batch(self, cutoff):
+        params = SpaceParams(2, 1, 2)
+        honest = sum_classifier(params)
+        walk = pt._CellWalk(honest, honest.labels())
+        ranks, coords = next(pt._class_draws(walk, 0, 20, 6))
+        liar = walk.walk(coords[0].tolist(), 0, 1.0)[1]
+        assert liar >= 0
+        handle = ClassifierHandle(
+            params=params, label_count=2, kind="liar", spec="liar",
+            decide=lambda image: (0 if image.space_rank() == liar
+                                  else honest.decide(image)),
+            batch=honest.batch)
+        pt.failure_rate(honest, 0, 1.0, 20, 6)
+        with pytest.raises(ContractViolation, match="changed its label"):
+            pt.failure_rate(handle, 0, 1.0, 20, 6)
+
+    def test_projection_without_nextafter(self, cutoff, monkeypatch):
+        # class-1 points of (1,1,2) lie above class-0 cell 1, whose upper
+        # face 0.5 belongs to cell 2 unless the projection steps off it
+        classifier = sum_classifier(SpaceParams(1, 1, 2))
+        pt.failure_rate(classifier, 1, 1.0, 20, 1)
+        monkeypatch.setattr(math, "nextafter", lambda x, toward: x)
+        monkeypatch.setattr(np, "nextafter", lambda x, toward: x)
+        with pytest.raises(ContractViolation,
+                           match=r"projected point left cell \(1,\)"):
+            pt.failure_rate(classifier, 1, 1.0, 20, 1)
+
+    def test_moved_bound_at_the_smallest_hitting_radius(self, cutoff,
+                                                        monkeypatch):
+        # a bound of r - 1: broken at 0.25 for every draw that hits there,
+        # kept at inf for the others
+        classifier = sum_classifier(SpaceParams(2, 1, 2))
+        monkeypatch.setattr(pt, "cell_diameter", lambda params: -0.5)
+        pt.failure_rates(classifier, 0, (math.inf, math.inf), 100, 7)
+        with pytest.raises(ContractViolation,
+                           match=r"moved \S+ beyond radius 0.25$"):
+            pt.failure_rates(classifier, 0, (math.inf, 0.25), 100, 7)

@@ -215,7 +215,7 @@ class TestNearestCellOracle:
         c = sum_classifier(P212)
         points = oracle_points(P212, 20, 5)
         whole = pt.nearest_cell_exhaustive(c, points, 1)
-        monkeypatch.setattr(pt, "_ORACLE_CHUNK_CELLS", 3 * 256)
+        monkeypatch.setattr(pt, "_DENSE_CELLS", 3 * 256)
         assert pt.nearest_cell_exhaustive(c, points, 1) == whole
         assert pt.nearest_cell_exhaustive(c, [], 1) == []
 

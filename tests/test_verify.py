@@ -648,20 +648,29 @@ class TestWalkEqualsOracle:
         assert "; mismatch ((2, 1, 2), 'sum', 0.5, " in detail
 
     def test_each_point_walked_once(self, monkeypatch):
-        # 600 contract walks, one per (member, radius) point; 1500
-        # walk-equals-oracle draws at radius 0.5 and 10,000 failure-rate
-        # draws at radius 2.0, each walked once for both of its radii
+        # 600 contract walks, one per (member, radius) point, and 1500
+        # walk-equals-oracle draws at radius 0.5, each walked once for both
+        # of its radii; the 10,000 failure-rate draws on the 256 cells of
+        # (2,1,2) go through the dense kernel instead
         radii = collections.Counter()
         walk = perturb._CellWalk.walk
+        nearest_hits = perturb._CellWalk.nearest_hits
+        dense = []
 
         def counted(self, coords, base_label, radius):
             radii[radius] += 1
             return walk(self, coords, base_label, radius)
 
+        def batched(self, ranks, coords, base_label, radii):
+            dense.append((len(ranks), tuple(radii)))
+            return nearest_hits(self, ranks, coords, base_label, radii)
+
         monkeypatch.setattr(perturb._CellWalk, "walk", counted)
+        monkeypatch.setattr(perturb._CellWalk, "nearest_hits", batched)
         verify.suite_theorem3(verify.VerifyConfig())
-        assert radii == {1.5: 300, 2.0: 10_300, 0.5: 1500}
-        assert sum(radii.values()) == 12_100
+        assert radii == {1.5: 300, 2.0: 300, 0.5: 1500}
+        assert sum(rows for rows, _ in dense) == 10_000
+        assert {at for _, at in dense} == {(1.5, 2.0)}
 
     def test_oracle_disagreeing_fails(self, monkeypatch):
         oracle = perturb.nearest_cell_exhaustive

@@ -45,12 +45,17 @@ def _int_list(text: str) -> list[int]:
 
 
 def _decimal(text: str) -> Fraction | float:
-    """A decimal parsed exactly (0.1 is 1/10); ``inf`` and ``nan`` stay
+    """A decimal parsed exactly (0.1 is 1/10), refused if its float
+    overflows, since reports print it as a float; ``inf`` and ``nan`` stay
     floats for the command to accept or reject."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)
     except ValueError:
         return float(text)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text} overflows a float") from None
+    return value
 
 
 def cmd_bounds(args) -> int:
@@ -93,7 +98,8 @@ def cmd_verify(args) -> int:
     reports = verify.run_suites(names, cfg)
     config = _config(command="verify", suite=args.suite, seed=args.seed,
                      samples=args.samples, subsets=args.subsets,
-                     format=args.format)
+                     balanced_small=args.balanced_small,
+                     balanced_large=args.balanced_large, format=args.format)
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
         payload = {
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default="sum")
     p.add_argument("--label", type=int, default=0)
     p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--size", type=Fraction, required=True,
+    p.add_argument("--size", type=_decimal, required=True,
                    help="budget size, exact: 0.6 is 3/5")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -1,9 +1,9 @@
 """Perturbation construction: the randomized cell-walk search, which
 realizes the "nearest different-class point within radius" map on the
 cells of the unit cube (:func:`find_perturbation`), its failure rate
-(decided for a chunk of draws at once on small spaces, by the dense
-nearest-cell kernel the full-enumeration oracle also uses), and exact
-minimal-perturbation oracles."""
+(one hit-and-contract tail per chunk of draws, fed on small spaces by the
+dense nearest-cell kernel the full-enumeration oracle also uses and on
+larger ones by the walk), and exact minimal-perturbation oracles."""
 
 from __future__ import annotations
 
@@ -49,8 +49,6 @@ from .mcstats import wilson_ci
 _DENSE_CELLS = 1 << 13
 # raw Philox words failure_rate's decoder holds at once
 _DRAW_WORDS = 1 << 13
-# images one walk keeps by rank for its later samples
-_IMAGES_KEPT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -170,12 +168,10 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
 
 class _CellWalk:
     """The cell walk of one classifier: its label vector as a memoryview,
-    every level's cell bounds, the images built so far and the witness
-    labels ``decide`` gave, made once per search or per
-    :func:`failure_rates` call."""
+    every level's cell bounds and the witness labels ``decide`` gave, made
+    once per search or per :func:`failure_rates` call."""
 
-    __slots__ = ("classifier", "params", "labels", "bounds", "images",
-                 "decided")
+    __slots__ = ("classifier", "params", "labels", "bounds", "decided")
 
     def __init__(self, classifier: ClassifierHandle, labels: np.ndarray):
         self.classifier = classifier
@@ -183,18 +179,7 @@ class _CellWalk:
         self.labels = memoryview(labels)
         self.bounds = [cell_bounds(params, level)
                        for level in range(params.level_count)]
-        self.images: dict[int, ImageTensor] = {}
         self.decided: dict[int, int] = {}
-
-    def image(self, rank: int) -> ImageTensor:
-        """``image_from_rank``, kept for later samples of the same walk
-        (at most ``_IMAGES_KEPT`` images)."""
-        image = self.images.get(rank)
-        if image is None:
-            image = image_from_rank(self.params, rank)
-            if len(self.images) < _IMAGES_KEPT:
-                self.images[rank] = image
-        return image
 
     def from_point(self, image: ImageTensor, coords: Sequence[float],
                    base_label: int, radius: float) -> PerturbationOutcome:
@@ -207,18 +192,17 @@ class _CellWalk:
         result, moved = self.witness(image, coords, base_label, rank, radius)
         return PerturbationOutcome(result, moved, cells_examined)
 
-    def successes(self, image: ImageTensor, coords: Sequence[float],
-                  base_label: int, radii: Sequence[float]) -> list[bool]:
-        """Per radius, whether :meth:`from_point` succeeds at it, from one
-        walk at the largest: pruning is exact, so that walk's cell is the one
-        at every ``r`` with ``best_d2 <= r * r``.  Its contracts are checked
-        once, at the smallest such ``r``."""
-        best_d2, rank, _ = self.walk(coords, base_label, max(radii))
-        hits = [rank >= 0 and best_d2 <= float(r) * float(r) for r in radii]
-        if any(hits):
-            self.witness(image, coords, base_label, rank,
-                         min(r for r, hit in zip(radii, hits) if hit))
-        return hits
+    def walks(self, ranks: np.ndarray, coords: np.ndarray, base_label: int,
+              radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_nearest_cells`'s ``(d2, cells)`` from one :meth:`walk`
+        per row within ``radius``; a row whose walk finds no cell gets inf
+        and its member's rank (of ``ranks``), labelled ``base_label``."""
+        d2, cells = np.full(len(ranks), math.inf), ranks.copy()
+        for row, point in enumerate(coords.tolist()):
+            best_d2, rank, _ = self.walk(point, base_label, radius)
+            if rank >= 0:
+                d2[row], cells[row] = best_d2, rank
+        return d2, cells
 
     def walk(self, coords: Sequence[float], base_label: int,
              radius: float) -> tuple[float, int, int]:
@@ -271,7 +255,7 @@ class _CellWalk:
         """Cell ``rank`` as an image and the L2 distance moved, after three
         contracts: another label, the projection of ``coords`` inside the
         cell, and the distance within ``radius`` plus two cell diameters."""
-        result = self.image(rank)
+        result = image_from_rank(self.params, rank)
         if self.classifier.decide(result) == base_label:
             raise ContractViolation(f"cell {result.levels} changed its label")
         for x, level in zip(coords, result.levels):
@@ -289,29 +273,29 @@ class _CellWalk:
             raise ContractViolation(f"moved {moved} beyond radius {radius}")
         return result, moved
 
-    def nearest_hits(self, ranks: np.ndarray, coords: np.ndarray,
-                     base_label: int, radii: Sequence[float]) -> np.ndarray:
+    def hits(self, ranks: np.ndarray, coords: np.ndarray, d2: np.ndarray,
+             cells: np.ndarray, base_label: int,
+             radii: Sequence[float]) -> np.ndarray:
         """Per draw (a row of member ``ranks`` and cell points ``coords``)
-        and radius, whether :meth:`successes` holds, from one
-        :func:`_nearest_cells` pass instead of one walk per draw: a draw
-        hits at ``r`` iff some cell is not labelled ``base_label`` and the
-        walk's nearest such cell lies within ``r * r``.  :meth:`witness`'s
-        contracts are checked at each draw's smallest hitting ``r``: one
-        ``decide`` per distinct witness cell, then the projection and the
-        distance moved, in numpy."""
-        masked = np.asarray(self.labels) == base_label
-        d2, cells = _nearest_cells(self.bounds, coords, masked)
+        and radius, whether :meth:`from_point` succeeds, from the draw's
+        ``d2, cells`` (of :func:`_nearest_cells` or :meth:`walks`): iff its
+        cell is not labelled ``base_label`` and ``d2 <= r * r``.
+        :meth:`witness`'s contracts are checked at each draw's smallest
+        hitting ``r``: one ``decide`` per distinct witness cell, then the
+        projection and the distance moved, in numpy."""
         radii = np.array(radii, dtype=float)
-        hits = ~masked[cells][:, None] & (d2[:, None] <= radii * radii)
+        hits = ((np.asarray(self.labels)[cells] != base_label)[:, None]
+                & (d2[:, None] <= radii * radii))
         won = hits.any(axis=1)
         ranks, coords, cells = ranks[won], coords[won], cells[won]
         radii = np.where(hits[won], radii, math.inf).min(axis=1)
         for rank in sorted(set(cells.tolist())):
             if rank not in self.decided:
-                self.decided[rank] = self.classifier.decide(self.image(rank))
+                self.decided[rank] = self.classifier.decide(
+                    image_from_rank(self.params, rank))
             if self.decided[rank] == base_label:
-                raise ContractViolation(
-                    f"cell {self.image(rank).levels} changed its label")
+                levels = image_from_rank(self.params, rank).levels
+                raise ContractViolation(f"cell {levels} changed its label")
         params = self.params
         q = params.level_count
         weights = q ** np.arange(params.dimension - 1, -1, -1)
@@ -413,8 +397,9 @@ def failure_rate(classifier: ClassifierHandle, label: int, radius: float,
     is independent of evaluation order.  The draws come from raw Philox
     words computed for many indices at once (:func:`_class_draws`).  Each
     sample gets the outcome of :func:`find_perturbation`'s walk from its
-    point: on up to ``_DENSE_CELLS / 8`` cells from one dense pass per chunk
-    of samples (:meth:`_CellWalk.nearest_hits`), beyond from the walk.
+    point, by one tail per chunk of samples (:meth:`_CellWalk.hits`) fed
+    its nearest different-class cells by one dense pass on up to
+    ``_DENSE_CELLS / 8`` cells, beyond by one walk per sample.
     """
     return failure_rates(classifier, label, (radius,), samples, seed)[0]
 
@@ -423,9 +408,9 @@ def failure_rates(classifier: ClassifierHandle, label: int,
                   radii: Sequence[float], samples: int,
                   seed: int) -> list[FailureRateReport]:
     """:func:`failure_rate` at each radius, from one pass of draws, decided
-    for every radius at once: by the dense kernel per chunk, or by one walk
-    per sample at the largest radius; a bad label, radius or sample count,
-    or no radius, is a ``ValueError`` raised before any labelling."""
+    for every radius at once from each sample's nearest cell (the dense
+    kernel's, or its walk's at the largest radius); a bad label, radius or
+    sample count, or no radius, is a ``ValueError`` before any labelling."""
     if not 0 <= label < classifier.label_count:
         raise ValueError(f"label must be in [0, {classifier.label_count}), "
                          f"got {label}")
@@ -437,14 +422,12 @@ def failure_rates(classifier: ClassifierHandle, label: int,
         _check_radius(radius)
     walk = _CellWalk(classifier, classifier.labels())
     dense = 8 * classifier.params.total_images <= _DENSE_CELLS
+    masked = np.asarray(walk.labels) == label
     failures = np.zeros(len(radii), dtype=np.int64)
     for ranks, coords in _class_draws(walk, label, samples, seed):
-        if dense:
-            hits = walk.nearest_hits(ranks, coords, label, radii)
-        else:
-            hits = np.array([
-                walk.successes(walk.image(rank), point, label, radii)
-                for rank, point in zip(ranks.tolist(), coords.tolist())])
+        nearest = (_nearest_cells(walk.bounds, coords, masked) if dense
+                   else walk.walks(ranks, coords, label, max(radii)))
+        hits = walk.hits(ranks, coords, *nearest, label, radii)
         failures += len(hits) - np.count_nonzero(hits, axis=0)
     return [FailureRateReport(radius=float(radius), samples=samples,
                               failures=failed, rate=failed / samples,

@@ -480,25 +480,21 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     # walks fail: each sample's success must be the oracle's, exactly.
     mismatch = None
     failures = []  # per case: its failure counts at each radius
+    radii2 = np.array(WALK_ORACLE_RADII) ** 2
     for shape, spec in WALK_ORACLE_CASES:
         case = parse_classifier_spec(spec, SpaceParams(*shape))
         case_walk = perturb._CellWalk(case, case.labels())
         ranks, points = map(np.concatenate, zip(*perturb._class_draws(
             case_walk, 0, WALK_ORACLE_SAMPLES, cfg.seed)))
-        points = points.tolist()
         nearest = perturb.nearest_cell_exhaustive(
-            case, [perturb.ContinuousPoint(point) for point in points], 0)
-        failed = [0] * len(WALK_ORACLE_RADII)
-        for index, (rank, point, (oracle_d2, _)) in enumerate(
-                zip(ranks.tolist(), points, nearest)):
-            hits = case_walk.successes(case_walk.image(rank), point, 0,
-                                       WALK_ORACLE_RADII)
-            for at, (radius, succeeded) in enumerate(
-                    zip(WALK_ORACLE_RADII, hits)):
-                failed[at] += not succeeded
-                if mismatch is None and succeeded != (
-                        oracle_d2 <= radius * radius):
-                    mismatch = (shape, spec, radius, index)
+            case, [perturb.ContinuousPoint(p) for p in points.tolist()], 0)
+        hits = case_walk.hits(ranks, points, *case_walk.walks(
+            ranks, points, 0, max(WALK_ORACLE_RADII)), 0, WALK_ORACLE_RADII)
+        wrong = hits != (np.array([d2 for d2, _ in nearest])[:, None] <= radii2)
+        if mismatch is None and wrong.any():
+            index, at = divmod(int(wrong.argmax()), len(WALK_ORACLE_RADII))
+            mismatch = (shape, spec, WALK_ORACLE_RADII[at], index)
+        failed = (len(hits) - np.count_nonzero(hits, axis=0)).tolist()
         failures.append(f"{shape} {spec} {', '.join(map(str, failed))}")
     checks.append(CheckResult(
         "theorem3/walk-equals-oracle", mismatch is None, None,

@@ -301,21 +301,35 @@ def test_projection_outside_its_cell_is_a_contract_violation(monkeypatch):
         pt.find_perturbation(classifier, image, 1.0, seed=1)
 
 
-def test_moved_bound_checked_at_the_smallest_successful_radius(monkeypatch):
+def walk_hits(walk, ranks, coords, label, radii):
+    """``_CellWalk.hits`` of rows of member ``ranks`` and cell points
+    ``coords``, fed by one walk per row at the largest radius."""
+    return walk.hits(ranks, coords, *walk.walks(ranks, coords, label,
+                                                max(radii)), label, radii)
+
+
+def test_moved_bound_checked_at_the_smallest_successful_radius():
     params = SpaceParams(2, 1, 2)
     classifier = sum_classifier(params)
     walk = pt._CellWalk(classifier, classifier.labels())
     ranks, points = next(pt._class_draws(walk, 0, 100, 7))
-    image, coords = next(
-        (image, coords) for image, coords in zip(
-            map(walk.image, ranks.tolist()), points.tolist())
-        if walk.successes(image, coords, 0, (0.25,)) == [True])
-    # two cell diameters are 1.0 here: 1.5 is within radius 1.0, not 0.25
+    d2, cells = walk.walks(ranks, points, 0, 0.25)
+    row = int(np.argmax(d2 < math.inf))
+    assert walk_hits(walk, ranks[row:row + 1], points[row:row + 1], 0,
+                     (0.25,)).tolist() == [[True]]
+    # a member two levels from the witness cell in every coordinate moves
+    # 4/3, and two cell diameters are 1.0 here: 4/3 is within radius 1.0,
+    # not 0.25
     assert 2 * pt.cell_diameter(params) == 1.0
-    monkeypatch.setattr(pt, "norm_distance", lambda a, b, p: 1.5)
-    assert walk.successes(image, coords, 0, (1.0, 1.0)) == [True, True]
-    with pytest.raises(ContractViolation, match="moved 1.5 beyond radius 0.25"):
-        walk.successes(image, coords, 0, (1.0, 0.25))
+    far = np.array([ImageTensor(params, tuple(
+        level + 2 if level < 2 else level - 2 for level in
+        image_from_rank(params, int(cells[row])).levels)).space_rank()])
+    coords = points[row:row + 1]
+    assert walk_hits(walk, far, coords, 0, (1.0, 1.0)).tolist() == [
+        [True, True]]
+    with pytest.raises(ContractViolation,
+                       match=r"moved 1\.3333333333333333 beyond radius 0\.25$"):
+        walk_hits(walk, far, coords, 0, (1.0, 0.25))
 
 
 def test_successes_at_the_exact_radius():
@@ -326,6 +340,7 @@ def test_successes_at_the_exact_radius():
     image = ImageTensor(params, (2,))
     label = walk.labels[image.space_rank()]
     radii = (1.0, 0.125, math.nextafter(0.125, 0))
-    assert walk.successes(image, (0.625,), label, radii) == [True, True, False]
+    assert walk_hits(walk, np.array([image.space_rank()]), np.array([[0.625]]),
+                     label, radii).tolist() == [[True, True, False]]
     assert [walk.from_point(image, (0.625,), label, radius).succeeded
             for radius in radii] == [True, True, False]

@@ -104,14 +104,20 @@ class TestVerify:
         seen = []
         monkeypatch.setattr(verify, "run_suites",
                             lambda names, cfg: seen.append(cfg) or [])
-        code, _, _ = run_cli(capsys, "verify", "all", "--seed", "8",
-                             "--samples", "9", "--subsets", "10",
-                             "--balanced-small", "11", "--balanced-large", "12")
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "8",
+                               "--samples", "9", "--subsets", "10",
+                               "--balanced-small", "11", "--balanced-large",
+                               "12", "--format", "json")
         assert code == 0
         (cfg,) = seen
         default = verify.VerifyConfig()
         assert [f.name for f in dataclasses.fields(cfg)
                 if getattr(cfg, f.name) == getattr(default, f.name)] == []
+        # and each is recorded, with its value, under its flag's name
+        flags = {"random_subsets": "subsets"}
+        config = json.loads(out)["config"]
+        assert {flags.get(f.name, f.name): getattr(cfg, f.name)
+                for f in dataclasses.fields(cfg)}.items() <= config.items()
 
     def test_injected_mutant_detected(self, capsys, monkeypatch):
         # Weakening the tail-ratio bound exponent must trip the sweep and
@@ -360,6 +366,39 @@ class TestExactDecimals:
             cli.main(["bounds", "--r", "half", "--n", "4", "--h", "1",
                       "--b", "1"])
         assert exit_info.value.code == 2
+
+    def overflow_refused(self, capsys, monkeypatch, flag, argv):
+        # 1e400 parses as a Fraction, but its float overflows: refused by
+        # the parser with one error line, before any command runs
+        def runs(args):
+            raise AssertionError("the command ran")
+
+        for name in ("cmd_bounds", "cmd_attack", "cmd_estimate"):
+            monkeypatch.setattr(cli, name, runs)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"robustness-envelope {argv[0]}: error: argument {flag}: "
+            "1e400 overflows a float"]
+
+    def test_overflowing_radius_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "img.json"
+        path.write_bytes(encode_image(ImageTensor(SpaceParams(2, 1, 2),
+                                                  (0, 0, 0, 0))))
+        self.overflow_refused(capsys, monkeypatch, "--radius", [
+            "attack", "--image", str(path), "--method", "findpert",
+            "--radius", "1e400", "--seed", "1"])
+
+    def test_overflowing_c_exits_2(self, capsys, monkeypatch):
+        self.overflow_refused(capsys, monkeypatch, "--c", [
+            "bounds", "--c", "1e400", "--n", "4", "--h", "1", "--b", "1"])
+
+    def test_overflowing_size_exits_2(self, capsys, monkeypatch):
+        self.overflow_refused(capsys, monkeypatch, "--size", [
+            "estimate", "--n", "2", "--h", "1", "--b", "2", "--norm", "2",
+            "--size", "1e400", "--samples", "10", "--seed", "1"])
 
 
 class TestOutputFile:

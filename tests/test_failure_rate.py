@@ -6,9 +6,11 @@ one ``philox_rng(seed, index)`` generator per sample, rejection draws by
 ``Generator.integers(0, q, size=dim)`` and one ``find_perturbation`` per
 member.  The batch path decodes raw Philox words instead
 (``perturb._class_draws``) and must give every sample the same member,
-cell point and outcome.  On small spaces the batch path decides a chunk of
-draws at once (``_CellWalk.nearest_hits``); per draw, its hits and witness
-must be those of the walk (``_CellWalk.successes`` and ``walk``).
+cell point and outcome.  The batch path decides a chunk of draws at once
+(``_CellWalk.hits``) from each draw's nearest different-class cell: the
+dense kernel's on small spaces, and one walk per draw beyond
+(``_CellWalk.walks``).  Per draw, the kernel's hits and nearest cell must
+be those of the walk.
 """
 
 import itertools
@@ -29,8 +31,10 @@ from robustness_envelope.image_space import (
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
+    image_from_rank,
     philox_rng,
 )
+from test_cell_walk import walk_hits
 
 
 def failure_rate_oracle(classifier, label, radius, samples, seed,
@@ -58,7 +62,7 @@ def failure_rate_oracle(classifier, label, radius, samples, seed,
 
 def class_draws(walk, label, samples, seed):
     """``_class_draws`` as one ``(member, cell point)`` per sample."""
-    return [(walk.image(rank), point)
+    return [(image_from_rank(walk.params, rank), point)
             for ranks, coords in pt._class_draws(walk, label, samples, seed)
             for rank, point in zip(ranks.tolist(), coords.tolist())]
 
@@ -198,7 +202,7 @@ class TestRejectionLimit:
         walk = pt._CellWalk(classifier, classifier.labels())
         draws = pt._class_draws(walk, 0, 50, 1)
         ranks, coords = next(draws)
-        assert [(walk.image(rank).levels, point) for rank, point
+        assert [(image_from_rank(params, rank).levels, point) for rank, point
                 in zip(ranks.tolist(), coords.tolist())] == want
         with pytest.raises(EmptyClass, match=r"^no member of label 0 after "
                            r"40 draws of stream \(1, 11\)$"):
@@ -242,8 +246,9 @@ class TestFailureRates:
 
 @pytest.fixture(params=[0, 1 << 20], ids=["walk", "dense"])
 def cutoff(request, monkeypatch):
-    """``_DENSE_CELLS`` at 0, where every space is walked with one row per
-    kernel pass, and at 2^20, where every space here is decided densely."""
+    """``_DENSE_CELLS`` at 0, where ``failure_rates`` walks every space
+    and the kernel holds one row per pass, and at 2^20, where every space
+    here is decided densely: ``hits`` decides the draws from either."""
     monkeypatch.setattr(pt, "_DENSE_CELLS", request.param)
     return request.param
 
@@ -266,7 +271,8 @@ def dense_cases():
         walk = pt._CellWalk(classifier, classifier.labels())
         ranks, coords = map(np.concatenate, zip(*pt._class_draws(
             walk, label, samples, seed)))
-        corners = np.array([walk.image(rank).levels for rank in ranks.tolist()]
+        corners = np.array([image_from_rank(classifier.params, rank).levels
+                            for rank in ranks.tolist()]
                            ) / classifier.params.level_count
         yield (classifier, label, np.concatenate([ranks, ranks]),
                np.concatenate([coords, corners]), RADII)
@@ -280,13 +286,14 @@ def dense_mismatches(classifier, label, ranks, coords, radii):
     differ from the pruned walk's."""
     walk = pt._CellWalk(classifier, classifier.labels())
     masked = np.asarray(walk.labels) == label
-    hits = walk.nearest_hits(ranks, coords, label, radii).tolist()
     d2, cells = pt._nearest_cells(walk.bounds, coords, masked)
+    hits = walk.hits(ranks, coords, d2, cells, label, radii).tolist()
+    walked = walk_hits(walk, ranks, coords, label, radii).tolist()
     bad = []
-    for row, (rank, point) in enumerate(zip(ranks.tolist(), coords.tolist())):
+    for row, point in enumerate(coords.tolist()):
         best_d2, best, _ = walk.walk(point, label, math.inf)
         cell = -1 if masked[cells[row]] else int(cells[row])
-        if (hits[row] != walk.successes(walk.image(rank), point, label, radii)
+        if (hits[row] != walked[row]
                 or (float(d2[row]), cell) != (best_d2, best)):
             bad.append(row)
     return bad
@@ -301,9 +308,33 @@ class TestDenseKernel:
     def test_exact_radius(self):
         classifier = sum_classifier(SpaceParams(1, 1, 2))
         walk = pt._CellWalk(classifier, classifier.labels())
+        ranks, coords = np.array([2]), np.array([[0.625]])
         radii = (1.0, 0.125, math.nextafter(0.125, 0))
-        assert walk.nearest_hits(np.array([2]), np.array([[0.625]]), 1,
-                                 radii).tolist() == [[True, True, False]]
+        nearest = pt._nearest_cells(walk.bounds, coords,
+                                    np.asarray(walk.labels) == 1)
+        assert walk.hits(ranks, coords, *nearest, 1, radii).tolist() == [
+            [True, True, False]]
+
+    def test_walks_answer_like_the_kernel(self):
+        # the walk within r gives the kernel's (d2, cell) on rows whose
+        # kernel d2 is within r, and (inf, the row's member) on the others
+        outside = 0
+        for shape, spec in verify.WALK_ORACLE_CASES:
+            classifier = parse_classifier_spec(spec, SpaceParams(*shape))
+            walk = pt._CellWalk(classifier, classifier.labels())
+            ranks, coords = map(np.concatenate, zip(*pt._class_draws(
+                walk, 0, verify.WALK_ORACLE_SAMPLES, 7)))
+            d2, cells = pt._nearest_cells(walk.bounds, coords,
+                                          np.asarray(walk.labels) == 0)
+            for radius in RADII:
+                within = d2 <= radius * radius
+                outside += np.count_nonzero(~within)
+                got_d2, got_cells = walk.walks(ranks, coords, 0, radius)
+                assert got_d2.tolist() == np.where(within, d2,
+                                                   math.inf).tolist()
+                assert got_cells.tolist() == np.where(within, cells,
+                                                      ranks).tolist()
+        assert outside
 
     @pytest.mark.parametrize("fault", ["no-mask", "strict", "larger-rank"])
     def test_faults_are_caught(self, monkeypatch, fault):
@@ -327,12 +358,15 @@ class TestDenseKernel:
                 self.test_exact_radius()
 
     def test_failure_rates_equal_the_walk(self, cutoff):
+        # on the sum classifier, a fifth of the draws miss at 0.25
         for classifier, samples, seed in (
                 (parse_classifier_spec("balanced:2", SpaceParams(2, 1, 3)),
                  200, 4),
-                (rare_classifier(SpaceParams(2, 1, 2), (37, 200)), 160, 12)):
+                (rare_classifier(SpaceParams(2, 1, 2), (37, 200)), 160, 12),
+                (sum_classifier(SpaceParams(2, 1, 2)), 200, 4)):
             walk = pt._CellWalk(classifier, classifier.labels())
-            hits = [walk.successes(member, point, 0, RADII)
+            hits = [[walk.from_point(member, point, 0, radius).succeeded
+                     for radius in RADII]
                     for member, point in class_draws(walk, 0, samples, seed)]
             reports = pt.failure_rates(classifier, 0, RADII, samples, seed)
             assert [report.failures for report in reports] == [

@@ -630,17 +630,17 @@ class TestWalkEqualsOracle:
         return {c.check_id: c for c in verify.suite_theorem3(self.CFG).checks}
 
     def test_incomplete_walk_fails_only_this_check(self, monkeypatch):
-        # a walk that gives up after ten cells at radius 0.5
-        successes = perturb._CellWalk.successes
+        # a walk at radius 0.5 that gives up after ten cells unless it
+        # found one within 0.25, so only the radius 0.5 answers go wrong
+        walk = perturb._CellWalk.walk
 
-        def gives_up(self, image, coords, base_label, radii):
-            hits = successes(self, image, coords, base_label, radii)
-            if 0.5 in radii and self.walk(coords, base_label, 0.5)[2] > 10:
-                return [hit and radius != 0.5
-                        for radius, hit in zip(radii, hits)]
-            return hits
+        def gives_up(self, coords, base_label, radius):
+            best_d2, rank, examined = walk(self, coords, base_label, radius)
+            if radius == 0.5 and examined > 10 and best_d2 > 0.25 * 0.25:
+                return radius * radius, -1, examined
+            return best_d2, rank, examined
 
-        monkeypatch.setattr(perturb._CellWalk, "successes", gives_up)
+        monkeypatch.setattr(perturb._CellWalk, "walk", gives_up)
         checks = self.checks()
         failed = [check_id for check_id, c in checks.items() if not c.passed]
         assert failed == ["theorem3/walk-equals-oracle"]
@@ -651,26 +651,34 @@ class TestWalkEqualsOracle:
         # 600 contract walks, one per (member, radius) point, and 1500
         # walk-equals-oracle draws at radius 0.5, each walked once for both
         # of its radii; the 10,000 failure-rate draws on the 256 cells of
-        # (2,1,2) go through the dense kernel instead
+        # (2,1,2) go through the dense kernel instead, besides the oracle's
+        # 600 + 1500 points; every batch is decided by one hits tail
         radii = collections.Counter()
         walk = perturb._CellWalk.walk
-        nearest_hits = perturb._CellWalk.nearest_hits
+        hits = perturb._CellWalk.hits
+        kernel = perturb._nearest_cells
+        tails = collections.Counter()
         dense = []
 
         def counted(self, coords, base_label, radius):
             radii[radius] += 1
             return walk(self, coords, base_label, radius)
 
-        def batched(self, ranks, coords, base_label, radii):
-            dense.append((len(ranks), tuple(radii)))
-            return nearest_hits(self, ranks, coords, base_label, radii)
+        def tail(self, ranks, coords, d2, cells, base_label, at):
+            tails[tuple(at)] += len(ranks)
+            return hits(self, ranks, coords, d2, cells, base_label, at)
+
+        def batched(bounds, coords, masked):
+            dense.append(len(coords))
+            return kernel(bounds, coords, masked)
 
         monkeypatch.setattr(perturb._CellWalk, "walk", counted)
-        monkeypatch.setattr(perturb._CellWalk, "nearest_hits", batched)
+        monkeypatch.setattr(perturb._CellWalk, "hits", tail)
+        monkeypatch.setattr(perturb, "_nearest_cells", batched)
         verify.suite_theorem3(verify.VerifyConfig())
         assert radii == {1.5: 300, 2.0: 300, 0.5: 1500}
-        assert sum(rows for rows, _ in dense) == 10_000
-        assert {at for _, at in dense} == {(1.5, 2.0)}
+        assert sum(dense) == 10_000 + 600 + 1500
+        assert tails == {(1.5, 2.0): 10_000, (0.25, 0.5): 1500}
 
     def test_oracle_disagreeing_fails(self, monkeypatch):
         oracle = perturb.nearest_cell_exhaustive

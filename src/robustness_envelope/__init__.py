@@ -11,7 +11,6 @@ from .bounds import (
     bounds_table,
     empirical_crossover_n,
     evaluate_bounds,
-    lower_bound_size,
     upper_bound_size,
 )
 from .classifiers import (
@@ -29,12 +28,10 @@ from .exactmath import (
     binom,
     binomial_spread_holds,
     harper_rhs,
-    hoeffding_ratio_holds,
     mode_bound_holds,
     pmf_iid_sum,
     pmf_uniform_levels,
     solve_p_for_tail,
-    tail_ratio,
     tail_table,
 )
 from .gaussian import GaussianChecksReport, gaussian_checks, grid_range
@@ -52,13 +49,11 @@ from .image_space import (
     PerturbationBudget,
     SpaceParams,
     decode_image,
-    encode_image,
     enumerate_space,
     flatten,
     image_from_rank,
     norm_distance,
     sample_uniform,
-    value_of_level,
 )
 from .perturb import (
     PerturbationOutcome,

@@ -120,12 +120,6 @@ def upper_bound_size(q: BoundQuery) -> float:
     return evaluate_bounds(q).upper_size
 
 
-def lower_bound_size(q: BoundQuery) -> float:
-    """The sum classifier keeps an interesting class r-robust at this size
-    (clamped at 0 when the guarantee is vacuous)."""
-    return evaluate_bounds(q).lower_size
-
-
 @dataclass(frozen=True)
 class AvgDistanceConstants:
     """Exact single-pair moment and the derived distance constant."""

@@ -46,11 +46,13 @@ def _int_list(text: str) -> list[int]:
 
 def _decimal(text: str) -> Fraction | float:
     """A decimal parsed exactly (0.1 is 1/10), refused if its float
-    overflows, since reports print it as a float; ``inf`` and ``nan`` stay
-    floats for the command to accept or reject."""
+    overflows or a nonzero one's float is 0, since reports print it as a
+    float; ``inf`` and ``nan`` stay floats for the command to accept or
+    reject."""
     try:
         value = Fraction(text)
-        float(value)
+        if value and not float(value):
+            raise argparse.ArgumentTypeError(f"{text} underflows a float")
     except ValueError:
         return float(text)
     except OverflowError:

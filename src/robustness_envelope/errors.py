@@ -15,10 +15,6 @@ class ContractViolation(EnvelopeError):
 
 # --- exact arithmetic -------------------------------------------------------
 
-class ZeroDenominator(EnvelopeError):
-    """A tail ratio was requested with a zero denominator tail."""
-
-
 class PreconditionViolated(EnvelopeError):
     """An operation's stated precondition does not hold for the inputs."""
 

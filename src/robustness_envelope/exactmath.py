@@ -24,9 +24,7 @@ from .errors import (
     NoFeasibleR,
     NoSolution,
     PrecisionInsufficient,
-    PreconditionViolated,
     SupportCapExceeded,
-    ZeroDenominator,
 )
 
 DEFAULT_SUPPORT_CAP = 1 << 24
@@ -113,19 +111,6 @@ def mode_bound_sweep(n_max: int) -> tuple[int | None, float]:
     return first_violation, min_gap
 
 
-def tail_ratio(n: int, k: int, p: Fraction, x: int) -> Fraction:
-    """Exact value of ``U(x-k) / U(x)`` for the Binomial(n, p) lower tail."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if x > n:
-        raise ValueError(f"x must be at most n, got {x}")
-    table = tail_table(n, p)
-    denominator = table.cdf_at(x)
-    if denominator == 0:
-        raise ZeroDenominator(f"U_{{{n},{p}}}({x}) = 0")
-    return table.cdf_at(x - k) / denominator
-
-
 def compare_scaled_exp(lhs: Fraction, coeff: Fraction,
                        exponent: Fraction) -> int:
     """Certified comparison of a rational ``lhs`` against ``coeff * e^exponent``.
@@ -162,21 +147,6 @@ def compare_scaled_exp(lhs: Fraction, coeff: Fraction,
 def hoeffding_exponent(n: int, k: int) -> Fraction:
     """Exponent of the tail-ratio bound ``2 e^{-2(k-1)^2/n}``."""
     return Fraction(-2 * (k - 1) ** 2, n)
-
-
-def hoeffding_ratio_holds(n: int, k: int, p: Fraction, r: int) -> bool:
-    """Check ``U(r-k)/U(r) <= 2 e^{-2(k-1)^2/n}`` for an admissible query.
-
-    Admissible means ``n > r >= k >= 1`` and ``U(r) <= 1/2``; the latter is
-    enforced and violations raise :class:`PreconditionViolated`.
-    """
-    if not (n > r >= k >= 1):
-        raise ValueError(f"need n > r >= k >= 1, got n={n}, r={r}, k={k}")
-    table = tail_table(n, p)
-    if 2 * table.prefix[r] > table.denominator:
-        raise PreconditionViolated(f"U_{{{n},{p}}}({r}) > 1/2")
-    ratio = Fraction(table.prefix[r - k], table.prefix[r])
-    return compare_scaled_exp(ratio, Fraction(2), hoeffding_exponent(n, k)) <= 0
 
 
 def solve_p_for_tail(n: int, r: int, target: Fraction,

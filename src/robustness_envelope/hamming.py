@@ -26,7 +26,7 @@ import numpy as np
 
 from . import exactmath
 from .errors import NotInterestingSubset, SpaceTooLarge
-from .image_space import philox_rng
+from .image_space import integer_field, philox_rng
 
 MAX_MATERIALIZED_VERTICES = 1 << 26
 # Subsets packed into one integer per expansion step.  4096 ran no faster
@@ -48,6 +48,9 @@ class GraphParams:
     alphabet: int
 
     def __post_init__(self):
+        for name in ("dims", "alphabet"):
+            object.__setattr__(self, name,
+                               integer_field(name, getattr(self, name)))
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
         if self.alphabet < 2:

@@ -31,6 +31,15 @@ DEFAULT_ENUMERATION_CAP = 1 << 20
 MAX_REJECTIONS = 100_000
 
 
+def integer_field(name: str, value) -> int:
+    """``value`` as an int, or a ``ValueError`` naming the field when it is
+    not an integer (``operator.index``: 2.0 and 1.5 are refused)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """The triple (n, h, b): n-by-n pixels, h channels, b-bit depth."""
@@ -41,8 +50,10 @@ class SpaceParams:
 
     def __post_init__(self):
         for name in ("n", "h", "b"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = integer_field(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -114,6 +125,7 @@ class PerturbationBudget:
     size_pow: Fraction | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "p", integer_field("p", self.p))
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
         if isinstance(self.size, float) and not math.isfinite(self.size):
@@ -128,16 +140,6 @@ class PerturbationBudget:
         if self.size_pow is not None:
             return Fraction(self.size_pow)
         return Fraction(self.size) ** max(self.p, 1)
-
-
-def value_of_level(level: int, b: int) -> float:
-    """Real channel value of a level: ``level / (2^b - 1)``."""
-    top = (1 << b) - 1
-    if not (0 <= level <= top):
-        raise LevelOutOfRange(f"level {level} outside [0, {top}]")
-    if top == 0:
-        raise LevelOutOfRange("bit depth must be >= 1")
-    return level / top
 
 
 def image_from_rank(params: SpaceParams, rank: int) -> ImageTensor:
@@ -277,13 +279,6 @@ def sample_member(params: SpaceParams, rng: np.random.Generator,
             return image
     raise EmptyClass(f"no member of label {label} after {MAX_REJECTIONS} "
                      f"draws of stream ({seed}, {index})")
-
-
-def encode_image(image: ImageTensor) -> bytes:
-    """Canonical byte encoding: compact UTF-8 JSON, integer levels only."""
-    payload = {"n": image.params.n, "h": image.params.h, "b": image.params.b,
-               "levels": list(image.levels)}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def decode_image(data: bytes | str) -> ImageTensor:

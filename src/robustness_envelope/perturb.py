@@ -161,9 +161,13 @@ def find_perturbation(classifier: ClassifierHandle, image: ImageTensor,
     if labels is None:
         labels = label_cache[classifier] = classifier.labels()
     walk = _CellWalk(classifier, labels)
-    p1 = sample_point_in_cell(image, rng)
-    return walk.from_point(image, p1.coords, walk.labels[image.space_rank()],
-                           radius)
+    coords = sample_point_in_cell(image, rng).coords
+    base_label = walk.labels[image.space_rank()]
+    _, rank, cells_examined = walk.walk(coords, base_label, radius)
+    if rank < 0:
+        return PerturbationOutcome(None, 0.0, cells_examined)
+    result, moved = walk.witness(image, coords, base_label, rank, radius)
+    return PerturbationOutcome(result, moved, cells_examined)
 
 
 class _CellWalk:
@@ -180,17 +184,6 @@ class _CellWalk:
         self.bounds = [cell_bounds(params, level)
                        for level in range(params.level_count)]
         self.decided: dict[int, int] = {}
-
-    def from_point(self, image: ImageTensor, coords: Sequence[float],
-                   base_label: int, radius: float) -> PerturbationOutcome:
-        """Walk from the point ``coords`` of ``image``'s cell (see
-        :func:`find_perturbation`); the radius and the space's size are
-        checked by the caller."""
-        _, rank, cells_examined = self.walk(coords, base_label, radius)
-        if rank < 0:
-            return PerturbationOutcome(None, 0.0, cells_examined)
-        result, moved = self.witness(image, coords, base_label, rank, radius)
-        return PerturbationOutcome(result, moved, cells_examined)
 
     def walks(self, ranks: np.ndarray, coords: np.ndarray, base_label: int,
               radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +270,10 @@ class _CellWalk:
              cells: np.ndarray, base_label: int,
              radii: Sequence[float]) -> np.ndarray:
         """Per draw (a row of member ``ranks`` and cell points ``coords``)
-        and radius, whether :meth:`from_point` succeeds, from the draw's
-        ``d2, cells`` (of :func:`_nearest_cells` or :meth:`walks`): iff its
-        cell is not labelled ``base_label`` and ``d2 <= r * r``.
+        and radius, whether :func:`find_perturbation`'s walk from the point
+        succeeds, from the draw's ``d2, cells`` (of :func:`_nearest_cells`
+        or :meth:`walks`): iff its cell is not labelled ``base_label`` and
+        ``d2 <= r * r``.
         :meth:`witness`'s contracts are checked at each draw's smallest
         hitting ``r``: one ``decide`` per distinct witness cell, then the
         projection and the distance moved, in numpy."""

@@ -26,7 +26,9 @@ from .exactmath import DiscretePMF
 from .image_space import (
     PerturbationBudget,
     SpaceParams,
+    image_from_rank,
     level_diff_pow_sum,
+    norm_distance,
     philox_rng,
 )
 
@@ -434,6 +436,21 @@ WALK_ORACLE_SAMPLES = 500
 WALK_ORACLE_RADII = (0.25, 0.5)
 
 
+def _walk_against_oracle(walk: perturb._CellWalk, ranks: np.ndarray,
+                         coords: np.ndarray, radii) -> tuple[np.ndarray, ...]:
+    """The walk's ``hits`` at each of ``radii`` for class-0 draws (rows of
+    member ``ranks`` and cell points ``coords``), walked once at the
+    largest radius, with each draw's cell and where the hits differ from
+    the full-enumeration oracle's."""
+    nearest = perturb.nearest_cell_exhaustive(
+        walk.classifier,
+        [perturb.ContinuousPoint(point) for point in coords.tolist()], 0)
+    d2, cells = walk.walks(ranks, coords, 0, max(radii))
+    hits = walk.hits(ranks, coords, d2, cells, 0, radii)
+    oracle = np.array([d2 for d2, _ in nearest])[:, None] <= np.square(radii)
+    return hits, cells, hits != oracle
+
+
 def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     params = SpaceParams(2, 1, 2)
@@ -442,34 +459,37 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
 
     # Walk contracts against the independent full-enumeration oracle, with
     # the length bound compared exactly on integer level differences.
-    walks = []  # (member, radius, point), radius-minor
+    members, points = [], []  # one row per (member, radius), radius-minor
     for index in range(300):
         member = robustness.sample_sum_class_member(
             params, 0, philox_rng(cfg.seed, index))
-        walks += [(member, radius, perturb.sample_point_in_cell(
-            member, philox_rng(cfg.seed ^ 0x5EED, index * len(radii) + at)))
-            for at, radius in enumerate(radii)]
-    nearest = perturb.nearest_cell_exhaustive(
-        classifier, [point for _, _, point in walks], 0)
-    walk = perturb._CellWalk(classifier, classifier.labels())
+        for at in range(len(radii)):
+            members.append(member)
+            points.append(perturb.sample_point_in_cell(member, philox_rng(
+                cfg.seed ^ 0x5EED, index * len(radii) + at)).coords)
+    hits, cells, wrong = _walk_against_oracle(
+        perturb._CellWalk(classifier, classifier.labels()),
+        np.array([member.space_rank() for member in members]),
+        np.array(points), radii)
     contract_bad = None
     worst = math.inf
-    for at, ((member, radius, point), (oracle_d2, _)) in enumerate(
-            zip(walks, nearest)):
-        outcome = walk.from_point(member, point.coords,
-                                  walk.labels[member.space_rank()], radius)
-        if outcome.succeeded != (oracle_d2 <= radius * radius):
-            contract_bad = (at // len(radii), radius, "completeness")
+    for row, member in enumerate(members):
+        index, at = divmod(row, len(radii))
+        radius = radii[at]
+        if wrong[row, at]:
+            contract_bad = (index, radius, "completeness")
             break
-        if outcome.succeeded:
+        if hits[row, at]:
             # Exact length check: (||i - i'||_2)^2 <= (radius + 2n sqrt(h)/2^b)^2,
             # both sides rational here (h = 1).
-            pow_sum = level_diff_pow_sum(member, outcome.result, 2)
+            result = image_from_rank(params, int(cells[row]))
+            pow_sum = level_diff_pow_sum(member, result, 2)
             bound = Fraction(radius) + Fraction(2 * params.n, params.level_count)
             if Fraction(pow_sum, params.max_level ** 2) > bound * bound:
-                contract_bad = (at // len(radii), radius, "length-bound")
+                contract_bad = (index, radius, "length-bound")
                 break
-            worst = min(worst, float(bound) - outcome.l2_moved)
+            worst = min(worst,
+                        float(bound) - float(norm_distance(member, result, 2)))
     checks.append(CheckResult(
         "theorem3/walk-contracts-(2,1,2)", contract_bad is None, worst,
         "300 seeded members, radii (1.5, 2.0): success iff a different-class "
@@ -480,17 +500,13 @@ def suite_theorem3(cfg: VerifyConfig) -> SuiteReport:
     # walks fail: each sample's success must be the oracle's, exactly.
     mismatch = None
     failures = []  # per case: its failure counts at each radius
-    radii2 = np.array(WALK_ORACLE_RADII) ** 2
     for shape, spec in WALK_ORACLE_CASES:
         case = parse_classifier_spec(spec, SpaceParams(*shape))
         case_walk = perturb._CellWalk(case, case.labels())
         ranks, points = map(np.concatenate, zip(*perturb._class_draws(
             case_walk, 0, WALK_ORACLE_SAMPLES, cfg.seed)))
-        nearest = perturb.nearest_cell_exhaustive(
-            case, [perturb.ContinuousPoint(p) for p in points.tolist()], 0)
-        hits = case_walk.hits(ranks, points, *case_walk.walks(
-            ranks, points, 0, max(WALK_ORACLE_RADII)), 0, WALK_ORACLE_RADII)
-        wrong = hits != (np.array([d2 for d2, _ in nearest])[:, None] <= radii2)
+        hits, _, wrong = _walk_against_oracle(case_walk, ranks, points,
+                                              WALK_ORACLE_RADII)
         if mismatch is None and wrong.any():
             index, at = divmod(int(wrong.argmax()), len(WALK_ORACLE_RADII))
             mismatch = (shape, spec, WALK_ORACLE_RADII[at], index)

@@ -22,9 +22,9 @@ from robustness_envelope.image_space import (
     ImageTensor,
     PerturbationBudget,
     SpaceParams,
-    encode_image,
     enumerate_space,
 )
+from test_image_space import encode_image
 
 CFG = verify.VerifyConfig()  # acceptance-scale defaults
 

@@ -35,6 +35,7 @@ from robustness_envelope.image_space import (
     sample_uniform,
 )
 from test_image_space import cell_of_point
+from test_perturb import _Replay
 
 
 def _oracle_candidates(params, x):
@@ -338,9 +339,10 @@ def test_successes_at_the_exact_radius():
     classifier = sum_classifier(params)
     walk = pt._CellWalk(classifier, classifier.labels())
     image = ImageTensor(params, (2,))
-    label = walk.labels[image.space_rank()]
+    label = classifier.decide(image)
     radii = (1.0, 0.125, math.nextafter(0.125, 0))
     assert walk_hits(walk, np.array([image.space_rank()]), np.array([[0.625]]),
                      label, radii).tolist() == [[True, True, False]]
-    assert [walk.from_point(image, (0.625,), label, radius).succeeded
+    assert [pt.find_perturbation(classifier, image, radius,
+                                 rng=_Replay((0.625,))).succeeded
             for radius in radii] == [True, True, False]

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from robustness_envelope import cli, exactmath, image_space, verify
-from robustness_envelope.image_space import ImageTensor, SpaceParams, encode_image
+from robustness_envelope.image_space import ImageTensor, SpaceParams
+from test_image_space import encode_image
 
 
 def run_cli(capsys, *argv):
@@ -299,6 +300,9 @@ DECIMALS = ([f"0.{i:02d}" for i in range(1, 100)]
                "2.5", "1.4142135623730951"])
 
 
+UNDERFLOW = "1e-400 underflows a float"
+
+
 class TestExactDecimals:
     """--r, --c and --radius parse as exact Fractions.  No decimal picks a
     different table entry or search ball than its float would."""
@@ -367,9 +371,11 @@ class TestExactDecimals:
                       "--b", "1"])
         assert exit_info.value.code == 2
 
-    def overflow_refused(self, capsys, monkeypatch, flag, argv):
-        # 1e400 parses as a Fraction, but its float overflows: refused by
-        # the parser with one error line, before any command runs
+    def refused(self, capsys, monkeypatch, flag, argv,
+                message="1e400 overflows a float"):
+        # 1e400 parses as a Fraction, but its float overflows, and 1e-400's
+        # rounds to 0: refused by the parser with one error line, before
+        # any command runs
         def runs(args):
             raise AssertionError("the command ran")
 
@@ -381,24 +387,52 @@ class TestExactDecimals:
         assert exit_info.value.code == 2 and out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [
             f"robustness-envelope {argv[0]}: error: argument {flag}: "
-            "1e400 overflows a float"]
+            + message]
 
     def test_overflowing_radius_exits_2(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "img.json"
         path.write_bytes(encode_image(ImageTensor(SpaceParams(2, 1, 2),
                                                   (0, 0, 0, 0))))
-        self.overflow_refused(capsys, monkeypatch, "--radius", [
+        self.refused(capsys, monkeypatch, "--radius", [
             "attack", "--image", str(path), "--method", "findpert",
             "--radius", "1e400", "--seed", "1"])
 
     def test_overflowing_c_exits_2(self, capsys, monkeypatch):
-        self.overflow_refused(capsys, monkeypatch, "--c", [
+        self.refused(capsys, monkeypatch, "--c", [
             "bounds", "--c", "1e400", "--n", "4", "--h", "1", "--b", "1"])
 
     def test_overflowing_size_exits_2(self, capsys, monkeypatch):
-        self.overflow_refused(capsys, monkeypatch, "--size", [
+        self.refused(capsys, monkeypatch, "--size", [
             "estimate", "--n", "2", "--h", "1", "--b", "2", "--norm", "2",
             "--size", "1e400", "--samples", "10", "--seed", "1"])
+
+    def test_underflowing_r_exits_2(self, capsys, monkeypatch):
+        self.refused(capsys, monkeypatch, "--r", [
+            "bounds", "--r", "1e-400", "--n", "4", "--h", "1", "--b", "1",
+            "--format", "json"], UNDERFLOW)
+
+    def test_underflowing_c_exits_2(self, capsys, monkeypatch):
+        self.refused(capsys, monkeypatch, "--c", [
+            "bounds", "--c", "1e-400", "--n", "4", "--h", "1", "--b", "1"],
+            UNDERFLOW)
+
+    def test_underflowing_radius_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "img.json"
+        path.write_bytes(encode_image(ImageTensor(SpaceParams(2, 1, 2),
+                                                  (0, 0, 0, 0))))
+        self.refused(capsys, monkeypatch, "--radius", [
+            "attack", "--image", str(path), "--method", "findpert",
+            "--radius", "1e-400", "--seed", "1"], UNDERFLOW)
+
+    def test_underflowing_size_exits_2(self, capsys, monkeypatch):
+        self.refused(capsys, monkeypatch, "--size", [
+            "estimate", "--n", "2", "--h", "1", "--b", "2", "--norm", "2",
+            "--size", "1e-400", "--samples", "10", "--seed", "1"],
+            UNDERFLOW)
+
+    def test_zero_and_subnormal_decimals_parse(self):
+        assert cli._decimal("0") == 0 and cli._decimal("-0.0") == 0
+        assert float(cli._decimal("1e-310")) == 1e-310
 
 
 class TestOutputFile:

@@ -16,10 +16,28 @@ from robustness_envelope.errors import (
     PrecisionInsufficient,
     PreconditionViolated,
     SupportCapExceeded,
-    ZeroDenominator,
 )
 
 HALF = Fraction(1, 2)
+
+
+def tail_ratio(n, k, p, x):
+    """Oracle: exact ``U(x-k) / U(x)`` of the Binomial(n, p) lower tail,
+    one query at a time; a zero ``U(x)`` is a ``ZeroDivisionError``."""
+    table = em.tail_table(n, p)
+    return table.cdf_at(x - k) / table.cdf_at(x)
+
+
+def hoeffding_ratio_holds(n, k, p, r):
+    """Oracle: ``U(r-k)/U(r) <= 2 e^{-2(k-1)^2/n}`` for one admissible
+    query, ``n > r >= k >= 1``, decided by the certified comparison;
+    ``U(r) > 1/2`` is refused with ``PreconditionViolated``."""
+    table = em.tail_table(n, p)
+    if 2 * table.prefix[r] > table.denominator:
+        raise PreconditionViolated(f"U_{{{n},{p}}}({r}) > 1/2")
+    ratio = Fraction(table.prefix[r - k], table.prefix[r])
+    return em.compare_scaled_exp(ratio, Fraction(2),
+                                 em.hoeffding_exponent(n, k)) <= 0
 
 
 class TestBinom:
@@ -192,42 +210,49 @@ class TestModeBound:
 
 class TestTailRatio:
     def test_exact_value(self):
-        assert em.tail_ratio(16, 3, HALF, 7) == Fraction(2517, 26333)
+        assert tail_ratio(16, 3, HALF, 7) == Fraction(2517, 26333)
 
     def test_zero_numerator(self):
-        assert em.tail_ratio(8, 9, HALF, 8) == 0
+        assert tail_ratio(8, 9, HALF, 8) == 0
 
     def test_full_tail_denominator(self):
-        assert em.tail_ratio(4, 1, HALF, 4) == Fraction(15, 16)
+        assert tail_ratio(4, 1, HALF, 4) == Fraction(15, 16)
 
     def test_monotone_small_sweep(self):
-        violations, min_step = em.tail_ratio_monotone_violations(
-            12, 3, [Fraction(j, 10) for j in range(1, 10)])
+        grid = [Fraction(j, 10) for j in range(1, 10)]
+        violations, min_step = em.tail_ratio_monotone_violations(12, 3, grid)
         assert violations == []
         assert min_step >= 0
+        assert all(tail_ratio(n, k, p, x - 1) <= tail_ratio(n, k, p, x)
+                   for n in range(1, 13) for p in grid
+                   for k in range(1, min(3, n) + 1) for x in range(k + 1, n + 1))
 
     def test_zero_denominator_guard(self):
-        with pytest.raises(ZeroDenominator):
-            em.tail_ratio(8, 2, HALF, -1)
+        with pytest.raises(ZeroDivisionError):
+            tail_ratio(8, 2, HALF, -1)
 
 
 class TestHoeffdingRatio:
     def test_known_true_case(self):
-        assert em.hoeffding_ratio_holds(16, 3, HALF, 7)
+        assert hoeffding_ratio_holds(16, 3, HALF, 7)
 
     def test_k1_bound_exceeds_one(self):
-        assert em.hoeffding_ratio_holds(16, 1, HALF, 7)
+        assert hoeffding_ratio_holds(16, 1, HALF, 7)
 
     def test_precondition_enforced(self):
         # U_{16,1/2}(8) > 1/2
         with pytest.raises(PreconditionViolated):
-            em.hoeffding_ratio_holds(16, 2, HALF, 8)
+            hoeffding_ratio_holds(16, 2, HALF, 8)
 
     def test_small_admissible_sweep(self):
-        violations, margin = em.hoeffding_sweep_violations(
-            24, [Fraction(1, 4), HALF, Fraction(3, 4)])
+        grid = [Fraction(1, 4), HALF, Fraction(3, 4)]
+        violations, margin = em.hoeffding_sweep_violations(24, grid)
         assert violations == []
         assert margin > 0
+        assert all(hoeffding_ratio_holds(n, k, p, r)
+                   for n in range(2, 13) for p in grid for r in range(1, n)
+                   if 2 * em.tail_table(n, p).cdf_at(r) <= 1
+                   for k in range(1, r + 1))
 
 
 class TestSingleTail:

@@ -35,6 +35,7 @@ from robustness_envelope.image_space import (
     philox_rng,
 )
 from test_cell_walk import walk_hits
+from test_perturb import _Replay
 
 
 def failure_rate_oracle(classifier, label, radius, samples, seed,
@@ -68,8 +69,13 @@ def class_draws(walk, label, samples, seed):
 
 
 def batch_outcomes(classifier, label, radius, samples, seed):
+    """Per sample ``(member, outcome)``: ``find_perturbation`` from the
+    member and cell point ``_class_draws`` decoded."""
     walk = pt._CellWalk(classifier, classifier.labels())
-    return [(member, walk.from_point(member, point, label, radius))
+    label_cache = {}
+    return [(member, pt.find_perturbation(classifier, member, radius,
+                                          rng=_Replay(point),
+                                          label_cache=label_cache))
             for member, point in class_draws(walk, label, samples, seed)]
 
 
@@ -365,7 +371,10 @@ class TestDenseKernel:
                 (rare_classifier(SpaceParams(2, 1, 2), (37, 200)), 160, 12),
                 (sum_classifier(SpaceParams(2, 1, 2)), 200, 4)):
             walk = pt._CellWalk(classifier, classifier.labels())
-            hits = [[walk.from_point(member, point, 0, radius).succeeded
+            label_cache = {}
+            hits = [[pt.find_perturbation(classifier, member, radius,
+                                          rng=_Replay(point),
+                                          label_cache=label_cache).succeeded
                      for radius in RADII]
                     for member, point in class_draws(walk, 0, samples, seed)]
             reports = pt.failure_rates(classifier, 0, RADII, samples, seed)

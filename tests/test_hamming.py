@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,13 @@ class TestGraphParams:
     def test_distance(self):
         assert G32.distance(0b000, 0b101) == 2
         assert G23.distance(0, 8) == 2  # words (0,0) vs (2,2)
+
+    def test_rejects_non_integer_fields(self):
+        # GraphParams(2.5, 2) had vertex_count 5.66
+        for dims, alphabet, name in ((2.5, 2, "dims"), (2, 2.0, "alphabet")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                hm.GraphParams(dims, alphabet)
+        assert type(hm.GraphParams(np.int64(2), 3).vertex_count) is int
 
     def test_materialization_cap(self):
         big = hm.GraphParams(27, 2)  # 2^27 vertices

@@ -27,6 +27,23 @@ def img(params, *levels):
     return isp.ImageTensor(params, tuple(levels))
 
 
+def encode_image(image):
+    """Canonical byte encoding, the inverse of ``decode_image``: compact
+    UTF-8 JSON with sorted keys, integer levels only."""
+    payload = {"n": image.params.n, "h": image.params.h, "b": image.params.b,
+               "levels": list(image.levels)}
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def value_of_level(level, b):
+    """Oracle of one ``flatten`` coordinate: ``level / (2^b - 1)``."""
+    top = (1 << b) - 1
+    if not (0 <= level <= top):
+        raise LevelOutOfRange(f"level {level} outside [0, {top}]")
+    return level / top
+
+
 def cell_of_point(params, point):
     """The image whose cell of the unit-cube decomposition contains ``point``.
 
@@ -58,6 +75,14 @@ class TestSpaceParams:
         with pytest.raises(ValueError):
             isp.SpaceParams(0, 1, 1)
 
+    def test_rejects_non_integer_fields(self):
+        # SpaceParams(1.5, 1, 1) and (2.0, 1, 1) failed later, in total_images
+        for shape, name in (((1.5, 1, 1), "n"), ((2.0, 1, 1), "n"),
+                            ((2, 1, Fraction(2)), "b")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                isp.SpaceParams(*shape)
+        assert isp.SpaceParams(np.int64(2), 1, 1).total_images == 16
+
 
 class TestImageTensor:
     def test_level_validation(self):
@@ -83,13 +108,16 @@ class TestImageTensor:
 
 class TestValueOfLevel:
     def test_endpoints(self):
-        assert isp.value_of_level(0, 3) == 0
-        assert isp.value_of_level(7, 3) == 1
-        assert isp.value_of_level(1, 1) == 1
+        assert value_of_level(0, 3) == 0
+        assert value_of_level(7, 3) == 1
+        assert value_of_level(1, 1) == 1
+        image = isp.ImageTensor(isp.SpaceParams(1, 3, 3), (0, 3, 7))
+        assert isp.flatten(image).tolist() == [
+            value_of_level(level, 3) for level in image.levels]
 
     def test_out_of_range(self):
         with pytest.raises(LevelOutOfRange):
-            isp.value_of_level(8, 3)
+            value_of_level(8, 3)
 
 
 class TestNorms:
@@ -223,6 +251,12 @@ class TestPerturbationBudget:
         with pytest.raises(ValueError, match="size"):
             isp.PerturbationBudget(2, size, size_pow=size_pow)
 
+    def test_rejects_non_integer_p(self):
+        # p = 1.5 made level_threshold raise a Fraction to a float power
+        with pytest.raises(ValueError, match="^p must be an integer, got 1.5$"):
+            isp.PerturbationBudget(1.5, 1)
+        assert type(isp.PerturbationBudget(np.int64(2), 1).p) is int
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -302,7 +336,7 @@ class TestPhiloxWords:
 class TestSerialization:
     def test_round_trip_exhaustive(self):
         for image in isp.enumerate_space(P211):
-            assert isp.decode_image(isp.encode_image(image)) == image
+            assert isp.decode_image(encode_image(image)) == image
 
     @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3),
            st.integers(0, 10 ** 12))
@@ -310,9 +344,9 @@ class TestSerialization:
     def test_round_trip_random_spaces(self, n, h, b, rank_seed):
         params = isp.SpaceParams(n, h, b)
         image = isp.image_from_rank(params, rank_seed % params.total_images)
-        encoded = isp.encode_image(image)
+        encoded = encode_image(image)
         assert isp.decode_image(encoded) == image
-        assert isp.encode_image(isp.decode_image(encoded)) == encoded
+        assert encode_image(isp.decode_image(encoded)) == encoded
 
     def test_rejects_overflow_level(self):
         payload = {"n": 2, "h": 1, "b": 1, "levels": [0, 0, 0, 2]}

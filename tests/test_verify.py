@@ -648,11 +648,12 @@ class TestWalkEqualsOracle:
         assert "; mismatch ((2, 1, 2), 'sum', 0.5, " in detail
 
     def test_each_point_walked_once(self, monkeypatch):
-        # 600 contract walks, one per (member, radius) point, and 1500
-        # walk-equals-oracle draws at radius 0.5, each walked once for both
-        # of its radii; the 10,000 failure-rate draws on the 256 cells of
-        # (2,1,2) go through the dense kernel instead, besides the oracle's
-        # 600 + 1500 points; every batch is decided by one hits tail
+        # 600 walk-contracts points, one per (member, radius), each walked
+        # once at radius 2.0, and 1500 walk-equals-oracle draws walked once
+        # at radius 0.5, each point for both of its check's radii; the
+        # 10,000 failure-rate draws on the 256 cells of (2,1,2) go through
+        # the dense kernel instead, besides the oracle's 600 + 1500 points;
+        # every batch is decided by one hits tail
         radii = collections.Counter()
         walk = perturb._CellWalk.walk
         hits = perturb._CellWalk.hits
@@ -676,9 +677,31 @@ class TestWalkEqualsOracle:
         monkeypatch.setattr(perturb._CellWalk, "hits", tail)
         monkeypatch.setattr(perturb, "_nearest_cells", batched)
         verify.suite_theorem3(verify.VerifyConfig())
-        assert radii == {1.5: 300, 2.0: 300, 0.5: 1500}
+        assert radii == {2.0: 600, 0.5: 1500}
         assert sum(dense) == 10_000 + 600 + 1500
-        assert tails == {(1.5, 2.0): 10_000, (0.25, 0.5): 1500}
+        assert tails == {(1.5, 2.0): 10_600, (0.25, 0.5): 1500}
+
+    def test_dropped_cell_fails_only_walk_contracts(self, monkeypatch):
+        # row 7 is member 3 at radius 2.0; a walks pass at 2.0 that loses
+        # its cell makes it miss where the oracle hits.  walk-equals-oracle
+        # walks at 0.5, and the failure rates use the dense kernel.
+        passing = self.checks()["theorem3/walk-contracts-(2,1,2)"]
+        walks = perturb._CellWalk.walks
+
+        def drops(self, ranks, coords, base_label, radius):
+            d2, cells = walks(self, ranks, coords, base_label, radius)
+            if radius == 2.0:
+                d2[7], cells[7] = math.inf, ranks[7]
+            return d2, cells
+
+        monkeypatch.setattr(perturb._CellWalk, "walks", drops)
+        checks = self.checks()
+        failed = [check_id for check_id, c in checks.items() if not c.passed]
+        assert failed == ["theorem3/walk-contracts-(2,1,2)"]
+        check = checks["theorem3/walk-contracts-(2,1,2)"]
+        assert check.detail.endswith("; failed (3, 2.0, 'completeness')")
+        # the worst margin of rows 0 .. 6 only, above that of all 600 rows
+        assert math.inf > check.margin > passing.margin
 
     def test_oracle_disagreeing_fails(self, monkeypatch):
         oracle = perturb.nearest_cell_exhaustive

@@ -155,8 +155,11 @@ def solve_p_for_tail(n: int, r: int, target: Fraction,
 
     ``U_{n,p}(r)`` is continuous and strictly decreasing in ``p`` on (0, 1)
     for ``0 <= r < n``, running from 1 down to 0, so any target in (0, 1)
-    is attainable.  The returned ``p`` is an exact dyadic rational, which
-    makes round-trip verification of the tail exact.
+    is attainable.  Each halving evaluates only ``U(r)`` at the dyadic
+    midpoint ``a/2^j``, as the integer ``sum_{i<=r} C(n,i) a^i (2^j-a)^(n-i)``
+    over ``2^(jn)``, and compares it with the target and ``tol`` by exact
+    cross-multiplication.  The returned ``p`` is that exact dyadic rational,
+    which makes round-trip verification of the tail exact.
     """
     if not (0 <= r < n):
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
@@ -166,6 +169,7 @@ def solve_p_for_tail(n: int, r: int, target: Fraction,
     tol = Fraction(tol)
     t, td = target.numerator, target.denominator
     e, ed = tol.numerator, tol.denominator
+    coeffs = [math.comb(n, i) for i in range(r + 1)]
     # After j halvings the interval is [lo, lo + 1] / 2^(j-1) and its
     # midpoint (2 lo + 1) / 2^j.  The tail is Lipschitz in p with constant
     # under n * C(n-1, r), so the midpoint is within tol well before the
@@ -173,26 +177,35 @@ def solve_p_for_tail(n: int, r: int, target: Fraction,
     # beyond any valid input.
     lo = 0
     for j in range(1, 1001):
-        mid = Fraction(2 * lo + 1, 1 << j)
-        table = tail_table(n, mid)
-        # (U(r) - target) * denominator * td, compared without division
-        gap = table.prefix[r] * td - t * table.denominator
-        if abs(gap) * ed <= e * table.denominator * td:
-            return mid
+        a = 2 * lo + 1
+        c = (1 << j) - a
+        # U(r) 2^(jn) = c^(n-r) sum_{i<=r} C(n,i) a^i c^(r-i), by Horner in c
+        count, a_pow = 0, 1
+        for coeff in coeffs:
+            count = count * c + coeff * a_pow
+            a_pow *= a
+        count *= c ** (n - r)
+        # (U(r) - target) * 2^(jn) * td, compared without division
+        gap = count * td - (t << j * n)
+        if abs(gap) * ed <= (e * td) << j * n:
+            return Fraction(a, 1 << j)
         # tail decreasing in p: too much mass means p too small
-        lo = 2 * lo + 1 if gap > 0 else 2 * lo
+        lo = a if gap > 0 else 2 * lo
     raise NoSolution(f"bisection did not reach tol={tol} for n={n}, r={r}")
 
 
 def harper_rhs(n: int, k: int, frac: Fraction,
-               tol: Fraction | float = Fraction(1, 10 ** 12)) -> Fraction:
+               tol: Fraction | float = Fraction(1, 10 ** 12),
+               roots: dict | None = None) -> Fraction:
     """Isoperimetric lower bound on the expanded fraction of a vertex set.
 
     Minimizes ``U_{n,p_r}(r+k)`` over integer ``r`` in ``[0, n-k)``, where
     ``p_r`` solves ``U_{n,p}(r) = frac``.  The root is solved three orders
     of magnitude tighter than ``tol`` so the propagated error stays well
     inside the caller's tolerance.  ``k = 0`` degenerates to the identity
-    and returns ``frac``.
+    and returns ``frac``.  ``p_r`` does not depend on ``k``: calls for one
+    ``frac`` and ``tol`` at several k can share ``roots``, a dict from r to
+    ``p_r`` (None where there is none) that is filled as roots are solved.
     """
     frac = Fraction(frac)
     if not (0 < frac <= 1):
@@ -202,13 +215,17 @@ def harper_rhs(n: int, k: int, frac: Fraction,
     if not (1 <= k < n):
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     solver_tol = Fraction(tol) / 1024
+    roots = {} if roots is None else roots
     best = None
     for r in range(0, n - k):
-        try:
-            p_r = solve_p_for_tail(n, r, frac, solver_tol)
-        except NoSolution:
+        if r not in roots:
+            try:
+                roots[r] = solve_p_for_tail(n, r, frac, solver_tol)
+            except NoSolution:
+                roots[r] = None
+        if roots[r] is None:
             continue
-        value = tail_table(n, p_r).cdf_at(r + k)
+        value = tail_table(n, roots[r]).cdf_at(r + k)
         if best is None or value < best:
             best = value
     if best is None:

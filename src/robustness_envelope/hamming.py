@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +34,8 @@ CHUNK = 2048
 # Bits one packed chunk holds at most: rows wider than 512 bits go fewer
 # than CHUNK to a chunk, which bounds the chunk's digit masks too.
 PACKED_BITS = 1 << 20
+# Bytes of digit masks _step_masks keeps: one H(20, 2) holds 5 MiB.
+MASK_BUDGET = 32 << 20
 # slack of the Harper expansion bound for the root solver's error
 HARPER_TOL = 1e-9
 
@@ -88,16 +89,38 @@ def _replicate(pattern: int, width: int, count: int) -> int:
     return pattern * comb
 
 
-@lru_cache(maxsize=64)
+_MASKS: dict = {}  # (dims, q) -> _step_masks(dims, q), oldest first
+
+
+def _mask_bytes(dims: int, q: int) -> int:
+    """Bytes of the ``2 dims`` masks of ``q ** dims`` bits each."""
+    return 2 * dims * -(-q ** dims // 8)
+
+
 def _step_masks(dims: int, q: int):
-    """Per coordinate: (stride, digit < q - 1 mask, digit > 0 mask)."""
-    full = (1 << q ** dims) - 1
-    out = []
-    for i in range(dims):
-        stride = q ** i
-        zero = _replicate((1 << stride) - 1, stride * q, q ** (dims - i - 1))
-        out.append((stride, full ^ (zero << stride * (q - 1)), full ^ zero))
-    return tuple(out)
+    """Per coordinate: (stride, digit < q - 1 mask, digit > 0 mask).
+
+    Kept in ``_MASKS`` up to ``MASK_BUDGET`` bytes of masks, the graph
+    built longest ago dropped first; a graph whose masks alone exceed the
+    budget is built on every call.
+    """
+    masks = _MASKS.get((dims, q))
+    if masks is None:
+        full = (1 << q ** dims) - 1
+        out = []
+        for i in range(dims):
+            stride = q ** i
+            zero = _replicate((1 << stride) - 1, stride * q, q ** (dims - i - 1))
+            out.append((stride, full ^ (zero << stride * (q - 1)), full ^ zero))
+        masks, size = tuple(out), _mask_bytes(dims, q)
+        if size <= MASK_BUDGET:
+            while sum(_mask_bytes(*graph) for graph in _MASKS) + size > MASK_BUDGET:
+                del _MASKS[next(iter(_MASKS))]
+            _MASKS[dims, q] = masks
+    return masks
+
+
+_step_masks.cache_clear = _MASKS.clear
 
 
 def _slot_width(count: int) -> int:
@@ -140,10 +163,11 @@ def _row_sizes(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
-def _slot_sizes(bits: int, slots: int, words: int) -> np.ndarray:
-    """Member count of each of ``slots`` packed slots of ``words`` words."""
+def _slot_rows(bits: int, slots: int, words: int) -> np.ndarray:
+    """The ``slots`` packed slots of ``words`` words as rows, row 0 lowest:
+    the inverse of :func:`pack_slots`."""
     data = np.frombuffer(bits.to_bytes(slots * words * 8, "little"), dtype="<u8")
-    return _row_sizes(data.reshape(slots, words))
+    return data.reshape(slots, words)
 
 
 def _expand_bits(dims: int, q: int, bits: int, slots: int = 1,
@@ -211,8 +235,12 @@ def expansion_sizes(graph: GraphParams, blocks,
     """Each block of slot rows in chunks of at most ``CHUNK`` rows and
     ``PACKED_BITS`` bits (or one row), each chunk with its sizes ``|Exp^k S|``
     for k = 0..steps, one column per k, expanded slot-packed under digit
-    masks for the next power of two at or above the largest chunk so far."""
-    dims, q = graph.dims, graph.alphabet
+    masks for the next power of two at or above the largest chunk so far.
+
+    The empty and the full set are the fixed points of expansion: a row
+    that is either keeps its size in every later column, and only the
+    other rows are repacked for the next step."""
+    dims, q, count = graph.dims, graph.alphabet, graph.vertex_count
     built, masks = 0, None
     for block in blocks:
         limit = max(1, min(CHUNK, PACKED_BITS // (64 * block.shape[1])))
@@ -223,11 +251,18 @@ def expansion_sizes(graph: GraphParams, blocks,
                 built = 1 << (slots - 1).bit_length()
                 masks = _slot_masks(dims, q, built)
             sizes = np.empty((slots, steps + 1), dtype=np.int64)
-            sizes[:, 0] = _row_sizes(rows)
-            grown = pack_slots(rows)
+            sizes[:] = _row_sizes(rows)[:, None]
+            live = np.flatnonzero((sizes[:, 0] > 0) & (sizes[:, 0] < count))
+            grown = rows[live]
             for k in range(1, steps + 1):
-                grown = _expand_bits(dims, q, grown, slots, masks)
-                sizes[:, k] = _slot_sizes(grown, slots, words)
+                if not len(live):
+                    break
+                grown = _slot_rows(_expand_bits(dims, q, pack_slots(grown),
+                                                len(live), masks),
+                                   len(live), words)
+                sizes[live, k:] = _row_sizes(grown)[:, None]
+                left = sizes[live, k] < count
+                live, grown = live[left], grown[left]
             yield rows, sizes
 
 
@@ -371,11 +406,19 @@ def interior_k(s: HammingSubset, k: int) -> HammingSubset:
 
 
 def interior_by_balls(s: HammingSubset, k: int) -> HammingSubset:
-    """Reference interior: test each member's ball directly."""
-    keep = 0
+    """Reference interior: test each member's ball directly.  A ball grows
+    one step at a time, so one that has left ``s`` is given up."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    dims, q = s.graph.dims, s.graph.alphabet
+    outside, keep = ~s.bits, 0
     for v in s.members():
-        ball = expand_k(HammingSubset.from_members(s.graph, [v]), k)
-        if ball.issubset(s):
+        ball = 1 << v
+        for _ in range(k):
+            ball = _expand_bits(dims, q, ball)
+            if ball & outside:
+                break
+        else:
             keep |= 1 << v
     return HammingSubset(s.graph, keep)
 
@@ -448,16 +491,23 @@ def interior_ratios(graph: GraphParams, blocks, cases) -> Iterator[tuple]:
                *interior_ratio_holds(interiors, sizes, cases))
 
 
+def _check_harper_k(graph: GraphParams, k: int) -> None:
+    if not (1 <= k < graph.dims):
+        raise ValueError(f"need 1 <= k < dims, got k={k}")
+
+
 def _harper_verdict(graph: GraphParams, k: int, size: int, reached: int,
                     memo: dict) -> tuple[Fraction, float, bool]:
     """Harper's bound (:func:`exactmath.harper_rhs`) on ``|Exp^k S|/q^n`` for
     ``|S| = size``, and the margin and verdict ``reached/q^n >= bound -
-    HARPER_TOL`` (the root solver's error), memoized in ``memo``."""
+    HARPER_TOL`` (the root solver's error), memoized in ``memo``.  The
+    bound's roots do not depend on k: ``memo[size]`` shares them."""
     if (k, size, reached) not in memo:
         count, tol = graph.vertex_count, Fraction(HARPER_TOL)
         if (k, size) not in memo:
-            memo[k, size] = exactmath.harper_rhs(graph.dims, k,
-                                                 Fraction(size, count), tol)
+            memo[k, size] = exactmath.harper_rhs(
+                graph.dims, k, Fraction(size, count), tol,
+                memo.setdefault(size, {}))
         bound, lhs = memo[k, size], Fraction(reached, count)
         memo[k, size, reached] = bound, float(lhs - bound), lhs >= bound - tol
     return memo[k, size, reached]
@@ -465,7 +515,11 @@ def _harper_verdict(graph: GraphParams, k: int, size: int, reached: int,
 
 def harper_bounds(graph: GraphParams, blocks, ks) -> Iterator[tuple]:
     """``(rows, margins, holds)`` per packed chunk of the vertex sets in
-    each block of slot rows, by :func:`_harper_verdict`, one column per k."""
+    each block of slot rows, by :func:`_harper_verdict`, one column per k.
+    Every k must lie in ``1..dims-1``; that is checked before any row is
+    expanded."""
+    for k in ks:
+        _check_harper_k(graph, k)
     count, memo = graph.vertex_count, {}
     for rows, sizes in expansion_sizes(graph, blocks, max(ks)):
         judged = np.empty((2, len(rows), len(ks)))  # margins, verdicts
@@ -514,8 +568,7 @@ def harper_check(s: HammingSubset, k: int) -> HarperCheck:
     count = s.graph.vertex_count
     if s.size < 1 or s.size >= count:
         raise NotInterestingSubset("subset must be proper and nonempty")
-    if not (1 <= k < s.graph.dims):
-        raise ValueError(f"need 1 <= k < dims, got k={k}")
+    _check_harper_k(s.graph, k)
     reached = expand_k(s, k).size
     rhs, _, holds = _harper_verdict(s.graph, k, s.size, reached, {})
     return HarperCheck(subset_size=s.size, k=k,

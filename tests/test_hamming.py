@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustness_envelope import exactmath
 from robustness_envelope import hamming as hm
 from robustness_envelope.errors import NotInterestingSubset, SpaceTooLarge
 from robustness_envelope.image_space import (
@@ -14,6 +16,7 @@ from robustness_envelope.image_space import (
     image_from_rank,
     norm_distance,
 )
+import test_exactmath
 
 G32 = hm.GraphParams(3, 2)
 G42 = hm.GraphParams(4, 2)
@@ -103,6 +106,25 @@ class TestInterior:
         assert via_duality == hm.expand_k(s.complement(), k).complement()
         assert via_duality == hm.interior_by_balls(s, k)
         assert via_duality.issubset(s)
+
+    @pytest.mark.parametrize("graph", [G32, G23])
+    def test_ball_oracle_equals_distance_scan(self, graph):
+        # the ball oracle gives a ball up once it leaves s; every interior
+        # of every subset still equals the pairwise-distance definition
+        count = graph.vertex_count
+        dist = [[graph.distance(v, w) for w in range(count)]
+                for v in range(count)]
+        for bits in range(1 << count):
+            s = hm.HammingSubset(graph, bits)
+            for k in range(graph.dims + 1):
+                want = sum(1 << v for v in s.members()
+                           if all(w in s for w in range(count)
+                                  if dist[v][w] <= k))
+                assert hm.interior_by_balls(s, k).bits == want
+
+    def test_ball_oracle_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            hm.interior_by_balls(subset(G32, 0), -1)
 
 
 def within_by_scan(graph, bits, p, threshold):
@@ -242,6 +264,133 @@ class TestHarperCheck:
         g = hm.GraphParams(2, 2)
         for bits in range(1, (1 << 4) - 1):
             assert hm.harper_check(hm.HammingSubset(g, bits), 1).holds
+
+
+class TestHarperBounds:
+    @pytest.mark.parametrize("k", [0, 4, -1])
+    def test_k_outside_range_refused_before_expanding(self, monkeypatch, k):
+        # k = 0 used to pass vacuously with margin 0.0, since the bound is
+        # |S|/q^n itself; k = dims raised only after one chunk's expansion
+        expanded = []
+        monkeypatch.setattr(hm, "_expand_bits",
+                            lambda *args, **kwargs: expanded.append(args))
+        rows = next(hm.proper_subset_rows(16, 15))
+        message = f"^need 1 <= k < dims, got k={k}$"
+        with pytest.raises(ValueError, match=message):
+            next(hm.harper_bounds(G42, [rows], [1, k]))
+        with pytest.raises(ValueError, match=message):
+            hm.harper_check(subset(G42, 0), k)
+        assert expanded == []
+
+    def test_each_root_solved_once(self, monkeypatch):
+        # a root p_r depends on (r, |S|), not on k
+        solved = []
+        real = exactmath.solve_p_for_tail
+
+        def solve(n, r, target, tol):
+            solved.append((r, target))
+            return real(n, r, target, tol)
+
+        monkeypatch.setattr(exactmath, "solve_p_for_tail", solve)
+        chunks = list(hm.harper_bounds(
+            G42, hm.proper_subset_rows(16, 15), [1, 2, 3]))
+        assert sum(len(rows) for rows, _, _ in chunks) == (1 << 16) - 2
+        assert len(solved) == len(set(solved)) == 3 * 15
+
+    def test_shared_roots_equal_oracle(self, monkeypatch):
+        # every k and every s/2^n for n <= 8, one roots dict per fraction as
+        # harper_bounds shares it; the oracle's own roots are cached too
+        monkeypatch.setattr(test_exactmath, "solve_p_oracle",
+                            functools.cache(test_exactmath.solve_p_oracle))
+        tol = Fraction(hm.HARPER_TOL)
+        for n in range(2, 9):
+            for s in range(1, 1 << n):
+                frac, roots = Fraction(s, 1 << n), {}
+                for k in range(1, n):
+                    assert exactmath.harper_rhs(n, k, frac, tol, roots) == \
+                        test_exactmath.harper_rhs_oracle(n, k, frac, tol), \
+                        (n, k, s)
+                assert len(roots) == n - 1
+
+
+def saturating_rows(graph):
+    """Slot rows of sets full after 0, 1 and 2 expansion steps, sets not
+    full after 3 (where the diameter allows), the empty set and 300
+    seeded sets and complements, shuffled."""
+    count, dims = graph.vertex_count, graph.dims
+    full = (1 << count) - 1
+    ball = hm.expand_k(subset(graph, 0), dims - 2).bits  # full at step 2
+    sets = [full, full ^ 1, full ^ 0b110, ball, 0, 1, 1 << (count - 1)]
+    drawn = next(hm.seeded_subset_rows(count, 150, 5))
+    sets += [hm.pack_slots(row) for row in drawn]
+    sets += [bits ^ full for bits in sets[-150:]]
+    order = np.random.default_rng(3).permutation(len(sets))
+    return hm.subset_rows(np.array([[bool(sets[i] >> v & 1)
+                                     for v in range(count)] for i in order]))
+
+
+class TestExpansionSaturation:
+    @pytest.mark.parametrize("dims,q", [(4, 3), (6, 2), (2, 4)])
+    def test_sizes_equal_expand_k(self, dims, q):
+        graph = hm.GraphParams(dims, q)
+        rows = saturating_rows(graph)
+        want = [[hm.expand_k(hm.HammingSubset(graph, hm.pack_slots(row)),
+                             k).size for k in range(4)] for row in rows]
+        steps_to_full = {next((k for k, size in enumerate(sizes)
+                               if size == graph.vertex_count), None)
+                         for sizes in want if sizes[0]}
+        assert {0, 1, 2} <= steps_to_full
+        assert (None in steps_to_full) is (dims > 2)  # 2 is the diameter
+        assert [0] * 4 in want
+        for cut in (1, 100, len(rows)):
+            got = np.concatenate([sizes for _, sizes in hm.expansion_sizes(
+                graph, [rows[:cut], rows[cut:]], 3)])
+            assert got.tolist() == want
+
+    def test_full_rows_leave_the_packed_expansion(self, monkeypatch):
+        graph = hm.GraphParams(4, 3)
+        full = hm.full_row(graph.vertex_count)
+        rows = next(hm.seeded_subset_rows(graph.vertex_count, hm.CHUNK, 1)) ^ full
+        packed = []  # the slots of each _expand_bits call
+        real = hm._expand_bits
+
+        def expand_bits(dims, q, bits, slots=1, masks=None):
+            packed.append(slots)
+            return real(dims, q, bits, slots, masks)
+
+        monkeypatch.setattr(hm, "_expand_bits", expand_bits)
+        [(_, sizes)] = hm.expansion_sizes(graph, [rows], 6)
+        live = ((sizes > 0) & (sizes < graph.vertex_count)).sum(axis=0)
+        assert packed[1] < packed[0] == len(rows)
+        # one call per step while a row is live, each packing those rows
+        assert packed == live[:len(packed)].tolist()
+        assert live[len(packed)] == 0 and len(packed) < 6
+        assert (sizes[:, len(packed):] == graph.vertex_count).all()
+
+
+class TestStepMasks:
+    def test_memo_bounded_in_bytes(self, monkeypatch):
+        graphs = [(6, 2), (4, 3), (2, 4)]
+        hm._step_masks.cache_clear()
+        fresh = {graph: hm._step_masks(*graph) for graph in graphs + [(8, 2)]}
+        hm._step_masks.cache_clear()
+        assert hm._MASKS == {}
+        budget = hm._mask_bytes(6, 2) + hm._mask_bytes(4, 3)
+        monkeypatch.setattr(hm, "MASK_BUDGET", budget)
+        try:
+            for graph in graphs:
+                assert hm._step_masks(*graph) == fresh[graph]
+            # the third graph pushed the oldest out
+            assert list(hm._MASKS) == graphs[1:]
+            assert sum(hm._mask_bytes(*g) for g in hm._MASKS) <= budget
+            # masks larger than the whole budget are built, not kept
+            assert hm._mask_bytes(8, 2) > budget
+            assert hm._step_masks(8, 2) == fresh[8, 2]
+            assert list(hm._MASKS) == graphs[1:]
+            assert hm._step_masks(6, 2) == fresh[6, 2]
+            assert list(hm._MASKS) == [(2, 4), (6, 2)]
+        finally:
+            hm._step_masks.cache_clear()
 
 
 def graph_of(params):

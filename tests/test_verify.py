@@ -209,7 +209,7 @@ class TestHarperToleranceEdge:
             size = bits.bit_count()
             least[size] = min(least.get(size, count), reached)
 
-        def rhs(dims, k, fraction, tol):
+        def rhs(dims, k, fraction, tol, roots=None):
             return Fraction(least[fraction * count], count) + self.TOL + extra
 
         monkeypatch.setattr(exactmath, "harper_rhs", rhs)
@@ -271,12 +271,12 @@ class TestForcedFailure:
     def test_harper(self, monkeypatch):
         real = exactmath.harper_rhs
 
-        def rhs(dims, k, fraction, tol):
+        def rhs(dims, k, fraction, tol, roots=None):
             # unreachable at k >= 2 for |S| = 13 of 16: first met at 0x1fff,
             # whose k = 3 margin is lower still but comes after the failure
             if k >= 2 and fraction == Fraction(13, 16):
                 return Fraction(k)
-            return real(dims, k, fraction, tol)
+            return real(dims, k, fraction, tol, roots)
 
         monkeypatch.setattr(exactmath, "harper_rhs", rhs)
         got = verify._sweep_harper(4, 2, {1, 2, 3})
@@ -492,7 +492,8 @@ class TestSlotKernels:
         rows = np.array([[1, 0], [2 ** 64 - 1, 3], [0, 2 ** 17]], dtype=np.uint64)
         packed = hm.pack_slots(rows)
         assert unpack(packed, 3, 128) == [1, 2 ** 64 - 1 + (3 << 64), 1 << 81]
-        assert hm._slot_sizes(packed, 3, 2).tolist() == [1, 66, 1]
+        assert np.array_equal(hm._slot_rows(packed, 3, 2), rows)
+        assert hm._row_sizes(hm._slot_rows(packed, 3, 2)).tolist() == [1, 66, 1]
 
     @pytest.mark.parametrize("dims,q", [(4, 2), (2, 4), (2, 3)])
     def test_expansion_sizes_equal_single_calls(self, dims, q):
